@@ -177,6 +177,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_dynamics(args) -> int:
+    t0 = time.perf_counter()
     try:
         p = dyn.derive_params(args.alpha, args.lam, args.beta)
     except ParameterError as exc:
@@ -190,10 +191,10 @@ def _cmd_dynamics(args) -> int:
         if not points:
             print(f"error: no admissible point of period {args.periodic}", file=sys.stderr)
             return EXIT_CONDITION
-        t0 = points[0]
+        start = points[0]
     else:
-        t0 = args.t0
-    orbit = dyn.iterate(p, t0, args.steps, args.direction)
+        start = args.t0
+    orbit = dyn.iterate(p, start, args.steps, args.direction)
     heights = dyn.orbit_heights(p, orbit)
     branches = []
     for v in orbit.values:
@@ -223,13 +224,14 @@ def _cmd_dynamics(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONDITION
         ser.atomic_write(args.tree_out, ser.tree_to_json(tree))
+    dt = time.perf_counter() - t0
     print(
         ser.ResultRecord(
             f"dynamics(alpha={args.alpha}, lambda={args.lam}, beta={args.beta})",
             "dynamics",
             0.0 if not args.tree_out else tree.length,
             len(orbit.values),
-            0.0,
+            dt,
             extra={"status": orbit.status, "t_star": ser.fmt(p.t_star), "t2": ser.fmt(p.t2)},
         ).to_json()
     )
@@ -237,6 +239,7 @@ def _cmd_dynamics(args) -> int:
 
 
 def _cmd_region(args) -> int:
+    t0 = time.perf_counter()
     rows = []
     na, nl = args.alpha_steps, args.lambda_steps
     for i in range(1, na + 1):
@@ -252,7 +255,8 @@ def _cmd_region(args) -> int:
                 )
             )
     ser.atomic_write(args.out, ser.region_to_csv(rows))
-    print(ser.ResultRecord("region", "region", 0.0, len(rows), 0.0).to_json())
+    dt = time.perf_counter() - t0
+    print(ser.ResultRecord("region", "region", 0.0, len(rows), dt).to_json())
     return EXIT_OK
 
 

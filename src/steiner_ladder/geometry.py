@@ -17,8 +17,8 @@ SQRT3 = math.sqrt(3.0)
 TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 
 # rotation by +-60 degrees, used for equilateral constructions
-_ROT_LEFT = complex(0.5, SQRT3 / 2.0)
-_ROT_RIGHT = complex(0.5, -SQRT3 / 2.0)
+ROT_LEFT = complex(0.5, SQRT3 / 2.0)
+ROT_RIGHT = complex(0.5, -SQRT3 / 2.0)
 
 _OMEGA = complex(-0.5, SQRT3 / 2.0)  # exp(2*pi*i/3)
 
@@ -57,9 +57,9 @@ def equilateral_third(p1: complex, p2: complex, side: str = "left") -> Point:
     if d == 0:
         raise DegenerateInputError("equilateral_third: coincident endpoints")
     if side == "left":
-        return Point.of(p1 + d * _ROT_LEFT)
+        return Point.of(p1 + d * ROT_LEFT)
     if side == "right":
-        return Point.of(p1 + d * _ROT_RIGHT)
+        return Point.of(p1 + d * ROT_RIGHT)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
@@ -208,7 +208,7 @@ def point_in_hull(z: complex, hull: list[complex], tol: float = 1e-9) -> bool:
     if len(hull) == 1:
         return abs(z - hull[0]) <= tol
     if len(hull) == 2:
-        return _point_segment_distance(z, hull[0], hull[1]) <= tol
+        return point_segment_distance(z, hull[0], hull[1]) <= tol
     for i, p in enumerate(hull):
         q = hull[(i + 1) % len(hull)]
         d = q - p
@@ -217,7 +217,9 @@ def point_in_hull(z: complex, hull: list[complex], tol: float = 1e-9) -> bool:
     return True
 
 
-def _point_segment_distance(z: complex, a: complex, b: complex) -> float:
+def point_segment_distance(z: complex, a: complex, b: complex) -> float:
+    """Distance from ``z`` to the closed segment [a, b]."""
+    z, a, b = complex(z), complex(a), complex(b)
     d = b - a
     L2 = abs(d) ** 2
     if L2 == 0:
@@ -225,8 +227,3 @@ def _point_segment_distance(z: complex, a: complex, b: complex) -> float:
     t = ((z - a).real * d.real + (z - a).imag * d.imag) / L2
     t = min(1.0, max(0.0, t))
     return abs(z - (a + t * d))
-
-
-def point_segment_distance(z: complex, a: complex, b: complex) -> float:
-    """Distance from ``z`` to the closed segment [a, b]."""
-    return _point_segment_distance(complex(z), complex(a), complex(b))

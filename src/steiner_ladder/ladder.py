@@ -253,13 +253,14 @@ def build_ladder_tree_A1(params: LadderParams, word) -> EmbeddedTree:
         shape = mirrored if bit else base
         block = scale_tree(shape, lam ** (2 * j))
         blocks.append(_snap_terminals(block, alpha, lam))
-    return merge_trees(blocks, tol=1e-13)
+    return merge_trees(blocks)
 
 
 def _snap_terminals(tree: EmbeddedTree, alpha: float, lam: float) -> EmbeddedTree:
     """Snap terminal vertices onto the exact ladder lattice points.
 
-    Scaled copies would otherwise disagree in the last ulp at shared hinges.
+    Scaled copies would otherwise disagree in the last ulp at shared hinges,
+    which ``merge_trees`` identifies by exact equality.
     """
     verts = list(tree.vertices)
     for i, role in enumerate(tree.roles):

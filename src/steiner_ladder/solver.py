@@ -19,17 +19,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateInputError, ParameterError
-from .geometry import SQRT3
-from .topology import Topology, iter_full_topologies
+from .geometry import ROT_LEFT, ROT_RIGHT, SQRT3
+from .topology import MAX_TERMINALS, Topology, iter_full_topologies
 from .trees import STEINER, TERMINAL, EmbeddedTree, as_points
-
-MAX_TERMINALS = 9
-
-_ROT_L = complex(0.5, SQRT3 / 2.0)
-_ROT_R = complex(0.5, -SQRT3 / 2.0)
 
 
 @dataclass(frozen=True)
@@ -193,10 +188,10 @@ def _scan_topology(
         s, a, b = steps[k]
         pa = pos[a]
         d = pos[b] - pa
-        pos[s] = pa + d * _ROT_L
+        pos[s] = pa + d * ROT_LEFT
         sides[k] = 0
         best = rec(k + 1, best)
-        pos[s] = pa + d * _ROT_R
+        pos[s] = pa + d * ROT_RIGHT
         sides[k] = 1
         best = rec(k + 1, best)
         return best
@@ -227,17 +222,8 @@ def realize_full_topology(terminals, topo: Topology) -> EmbeddedTree | None:
     if len(points) == 2:
         return EmbeddedTree.build(points, [TERMINAL, TERMINAL], [(0, 1)])
     _validate_full_topology(points, topo)
-    out: list = []
-    best = _scan_topology(points, topo, 0, math.inf, 1e-9 * _span(points), out)
-    candidates = sorted(
-        (c for c in out if c[0] <= best + 1e-12 * (1.0 + _span(points))),
-        key=lambda c: (c[0], c[2]),
-    )
-    for L, _key, _word, final, t in candidates:
-        tree = _tree_from_candidate(points, t, final)
-        if tree is not None and abs(tree.length - L) <= 1e-9 * (1.0 + L):
-            return tree
-    return None
+    _best, kept = _subset_full_trees(points, 1e-12 * (1.0 + _span(points)), (topo,))
+    return kept[0][1] if kept else None
 
 
 def minimal_full_tree(terminals) -> EmbeddedTree | None:
@@ -245,7 +231,7 @@ def minimal_full_tree(terminals) -> EmbeddedTree | None:
     points = as_points(terminals)
     if len(points) == 2:
         return EmbeddedTree.build(points, [TERMINAL, TERMINAL], [(0, 1)])
-    kept = _subset_full_trees(points, keep=1e-12 * (1.0 + _span(points)))
+    _best, kept = _subset_full_trees(points, 1e-12 * (1.0 + _span(points)))
     return kept[0][1] if kept else None
 
 
@@ -259,22 +245,28 @@ def _subset_full_trees(
     points: Sequence[complex],
     keep: float,
     topos: Iterable[Topology] | None = None,
-) -> list[tuple[float, EmbeddedTree]]:
-    """Valid full trees on ``points`` within ``keep`` of the shortest one."""
-    n = len(points)
+    start: int = 0,
+) -> tuple[float, list[tuple[float, EmbeddedTree]]]:
+    """Valid full trees on ``points`` within ``keep`` of the shortest one.
+
+    ``topos`` defaults to streaming every full topology on ``points``; they
+    are numbered from ``start``.  Returns ``(best, kept)``: the shortest valid
+    merge length seen and the kept trees in (length, topology number,
+    orientation word) order.
+    """
     out: list = []
     best = math.inf
-    source = topos if topos is not None else iter_full_topologies(n)
-    for key, topo in enumerate(source):
+    source = topos if topos is not None else iter_full_topologies(len(points))
+    for key, topo in enumerate(source, start):
         best = _scan_topology(points, topo, key, best, keep, out)
-    result = []
+    kept = []
     for L, key, word, final, topo in sorted(
         (c for c in out if c[0] <= best + keep), key=lambda c: (c[0], c[1], c[2])
     ):
         tree = _tree_from_candidate(points, topo, final)
         if tree is not None and abs(tree.length - L) <= 1e-9 * (1.0 + L):
-            result.append((L, tree))
-    return result
+            kept.append((L, tree))
+    return best, kept
 
 
 # ---------------------------------------------------------------------------
@@ -335,86 +327,82 @@ def solve_exact(terminals, tol: float = 1e-9, workers: int | None = None) -> Ste
 def _full_component_table(
     points: tuple[complex, ...], keep: float, workers: int | None
 ) -> dict[int, list[tuple[float, EmbeddedTree]]]:
-    """Best full trees (within ``keep``) for every terminal subset mask."""
+    """Best full trees (within ``keep``) for every terminal subset mask.
+
+    Each subset is one task, except that a parallel run splits the full set
+    into consecutive runs of topologies.  Topology numbers carry across the
+    runs, so the merge below gives the same entries in the same order
+    however the work was split.
+    """
     n = len(points)
     table: dict[int, list[tuple[float, EmbeddedTree]]] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            mask = (1 << i) | (1 << j)
-            seg = EmbeddedTree.build(
-                [points[i], points[j]], [TERMINAL, TERMINAL], [(0, 1)]
-            )
-            table[mask] = [(seg.length, seg)]
+    for i, j in itertools.combinations(range(n), 2):
+        seg = EmbeddedTree.build([points[i], points[j]], [TERMINAL, TERMINAL], [(0, 1)])
+        table[(1 << i) | (1 << j)] = [(seg.length, seg)]
 
-    sizes = list(range(3, n + 1))
-    jobs: list[tuple[int, tuple[complex, ...]]] = []
-    for size in sizes:
+    parallel = bool(workers and workers > 1 and n >= 7)
+    topos = {size: list(iter_full_topologies(size)) for size in range(3, n)}
+    tasks: list[tuple[int, tuple[complex, ...], float, Sequence[Topology] | None, int]] = []
+    for size in range(3, n + 1):
         for idxs in itertools.combinations(range(n), size):
-            mask = 0
-            for i in idxs:
-                mask |= 1 << i
-            jobs.append((mask, tuple(points[i] for i in idxs)))
-
-    results: dict[int, list[tuple[float, EmbeddedTree]]] = {}
-    if workers and workers > 1 and n >= 7:
-        results = _run_parallel(jobs, keep, workers)
-    else:
-        topo_cache: dict[int, list[Topology]] = {}
-        for mask, pts in jobs:
-            size = len(pts)
+            mask = sum(1 << i for i in idxs)
+            pts = tuple(points[i] for i in idxs)
             if size < n:
-                topos = topo_cache.setdefault(size, list(iter_full_topologies(size)))
-                results[mask] = _subset_full_trees(pts, keep, topos)
-            else:
-                results[mask] = _subset_full_trees(pts, keep)
-    table.update(results)
+                tasks.append((mask, pts, keep, topos[size], 0))
+            elif parallel:
+                full = list(iter_full_topologies(n))
+                step = max(1, len(full) // (4 * workers))
+                for lo in range(0, len(full), step):
+                    tasks.append((mask, pts, keep, full[lo : lo + step], lo))
+            else:  # streamed, so the largest enumeration is never held in memory
+                tasks.append((mask, pts, keep, None, 0))
+
+    masks, *args = ([task[k] for task in tasks] for k in range(5))
+    results: Iterable[tuple[float, list[tuple[float, EmbeddedTree]]]] | None = None
+    if parallel:
+        import concurrent.futures as cf
+
+        try:
+            with cf.ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_subset_full_trees, *args, chunksize=1))
+        except (OSError, RuntimeError):
+            pass  # no process pool here: run serially below
+    if results is None:
+        results = map(_subset_full_trees, *args)
+
+    parts: dict[int, list[tuple[float, list[tuple[float, EmbeddedTree]]]]] = {}
+    for mask, result in zip(masks, results):
+        parts.setdefault(mask, []).append(result)
+    for mask, chunks in parts.items():
+        best = min(b for b, _kept in chunks)
+        entries = [e for _b, kept in chunks for e in kept if e[0] <= best + keep]
+        entries.sort(key=lambda e: e[0])  # stable: ties stay in topology order
+        table[mask] = entries
     return table
 
 
-def _chunk_worker(args) -> tuple[int, list[tuple[float, EmbeddedTree]]]:
-    mask, pts, keep, chunk = args
-    if chunk is None:
-        return mask, _subset_full_trees(pts, keep)
-    return mask, _subset_full_trees(pts, keep, topos=chunk)
+def _gluings(
+    S: int, weight: dict[int, float], g: dict[int, float]
+) -> Iterator[tuple[int, float, int]]:
+    """Every way to split a leaf block off a hypertree spanning ``S``.
 
-
-def _run_parallel(
-    jobs: list[tuple[int, tuple[complex, ...]]], keep: float, workers: int
-) -> dict[int, list[tuple[float, EmbeddedTree]]]:
-    import concurrent.futures as cf
-
-    nmax = max(len(pts) for _m, pts in jobs)
-    tasks = []
-    for mask, pts in jobs:
-        if len(pts) == nmax and nmax >= 8:
-            topos = list(iter_full_topologies(len(pts)))
-            step = max(1, len(topos) // (4 * workers))
-            for lo in range(0, len(topos), step):
-                tasks.append((mask, pts, keep, topos[lo : lo + step]))
-        else:
-            tasks.append((mask, pts, keep, None))
-
-    merged: dict[int, list[tuple[float, EmbeddedTree]]] = {}
-    try:
-        with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-            for mask, kept in pool.map(_chunk_worker, tasks, chunksize=1):
-                merged.setdefault(mask, []).extend(kept)
-    except (OSError, RuntimeError):
-        merged.clear()
-        for task in tasks:
-            mask, kept = _chunk_worker(task)
-            merged.setdefault(mask, []).extend(kept)
-
-    out: dict[int, list[tuple[float, EmbeddedTree]]] = {}
-    for mask, entries in merged.items():
-        if not entries:
-            out[mask] = []
-            continue
-        best = min(L for L, _t in entries)
-        kept = [(L, t) for L, t in entries if L <= best + keep]
-        kept.sort(key=lambda e: (e[0], _canonical_key(e[1])))
-        out[mask] = kept
-    return out
+    Yields ``(block, weight, prev)`` where ``prev`` is ``S`` minus the block
+    plus its attachment terminal; ``prev`` keeps terminal 0 and has a value
+    in ``g``.
+    """
+    B = S
+    while B:
+        w = weight.get(B)
+        if w is not None:
+            rest = S & ~B
+            bits = B
+            while bits:
+                attach = bits & -bits
+                bits ^= attach
+                prev = rest | attach
+                if prev in g:  # every key of g holds terminal 0
+                    yield B, w, prev
+        B = (B - 1) & S
 
 
 def _hypertree_dp(n: int, weight: dict[int, float]) -> tuple[float, dict[int, float]]:
@@ -425,29 +413,9 @@ def _hypertree_dp(n: int, weight: dict[int, float]) -> tuple[float, dict[int, fl
     """
     full = (1 << n) - 1
     g = {1: 0.0}
-    masks = sorted((m for m in range(1, full + 1) if m & 1), key=lambda m: bin(m).count("1"))
+    masks = sorted((m for m in range(3, full + 1) if m & 1), key=lambda m: bin(m).count("1"))
     for S in masks:
-        if S == 1:
-            continue
-        best = math.inf
-        B = S
-        while B:
-            if bin(B).count("1") >= 2:
-                w = weight.get(B)
-                if w is not None:
-                    rest = S & ~B
-                    bits = B
-                    while bits:
-                        attach = bits & -bits
-                        bits ^= attach
-                        removed = B & ~attach
-                        if removed & 1:
-                            continue
-                        prev = rest | attach
-                        gp = g.get(prev)
-                        if gp is not None and gp + w < best:
-                            best = gp + w
-            B = (B - 1) & S
+        best = min((g[prev] + w for _B, w, prev in _gluings(S, weight, g)), default=math.inf)
         if math.isfinite(best):
             g[S] = best
     return g.get(full, math.inf), g
@@ -457,32 +425,17 @@ def _enumerate_structures(
     n: int, weight: dict[int, float], g: dict[int, float], min_total: float, budget_slack: float
 ) -> set[frozenset[int]]:
     """All block structures whose total weight is within the budget of optimal."""
-    full = (1 << n) - 1
     out: set[frozenset[int]] = set()
 
     def rec(S: int, budget: float, acc: tuple[int, ...]) -> None:
         if S == 1:
             out.add(frozenset(acc))
             return
-        B = S
-        while B:
-            if bin(B).count("1") >= 2:
-                w = weight.get(B)
-                if w is not None and w <= budget + 1e-15:
-                    rest = S & ~B
-                    bits = B
-                    while bits:
-                        attach = bits & -bits
-                        bits ^= attach
-                        removed = B & ~attach
-                        if removed & 1:
-                            continue
-                        prev = rest | attach
-                        gp = g.get(prev)
-                        if gp is not None and gp + w <= budget:
-                            rec(prev, budget - w, acc + (B,))
-            B = (B - 1) & S
-    rec(full, min_total + budget_slack, ())
+        for B, w, prev in _gluings(S, weight, g):
+            if g[prev] + w <= budget:
+                rec(prev, budget - w, acc + (B,))
+
+    rec((1 << n) - 1, min_total + budget_slack, ())
     return out
 
 

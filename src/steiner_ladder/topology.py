@@ -1,4 +1,4 @@
-"""Abstract full Steiner topologies and block decompositions.
+"""Abstract full Steiner topologies.
 
 Terminals of an ``n``-terminal topology are labelled ``0 .. n-1`` and the
 ``n-2`` branching labels are ``n .. 2n-3``.
@@ -94,72 +94,3 @@ def _canonical(n: int, edge_list: list[tuple[int, int]]) -> Topology:
         out.append((a, b) if a < b else (b, a))
     out.sort()
     return Topology(n, n - 2, tuple(out))
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Terminal subsets gluing into a connected spanning structure.
-
-    Pairwise intersections have size at most one, the block sizes satisfy
-    ``sum(len(b) - 1) == n - 1`` and the block-intersection graph is a tree.
-    """
-
-    n: int
-    blocks: tuple[frozenset[int], ...]
-
-
-def enumerate_block_decompositions(n: int, min_block: int = 2) -> list[BlockDecomposition]:
-    """All decompositions of ``range(n)`` into glued blocks of >= ``min_block``."""
-    return list(iter_block_decompositions(n, min_block))
-
-
-def iter_block_decompositions(n: int, min_block: int = 2) -> Iterator[BlockDecomposition]:
-    if not 2 <= n <= MAX_TERMINALS:
-        raise ParameterError(f"block decompositions require 2 <= n <= {MAX_TERMINALS}")
-    if min_block < 2:
-        raise ParameterError("min_block must be >= 2")
-
-    full = frozenset(range(n))
-    all_blocks = sorted(
-        (b for b in _subsets(full) if len(b) >= min_block),
-        key=lambda b: sorted(b),
-    )
-
-    def ok_with(chosen: list[frozenset[int]], cand: frozenset[int]) -> bool:
-        return all(len(cand & b) <= 1 for b in chosen)
-
-    def connected(blocks: list[frozenset[int]]) -> bool:
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for b in blocks:
-            it = iter(sorted(b))
-            r = find(next(it))
-            for other in it:
-                parent[find(other)] = r
-        return len({find(i) for i in range(n)}) == 1
-
-    def rec(start: int, chosen: list[frozenset[int]], budget: int) -> Iterator[BlockDecomposition]:
-        if budget == 0:
-            if connected(chosen):
-                yield BlockDecomposition(n, tuple(chosen))
-            return
-        for i in range(start, len(all_blocks)):
-            b = all_blocks[i]
-            if len(b) - 1 > budget:
-                continue
-            if ok_with(chosen, b):
-                yield from rec(i + 1, chosen + [b], budget - (len(b) - 1))
-
-    yield from rec(0, [], n - 1)
-
-
-def _subsets(s: frozenset[int]) -> Iterator[frozenset[int]]:
-    items = sorted(s)
-    for mask in range(1, 1 << len(items)):
-        yield frozenset(items[i] for i in range(len(items)) if mask >> i & 1)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import DegenerateInputError, ParameterError
@@ -54,9 +54,6 @@ class EmbeddedTree:
     def terminal_indices(self) -> list[int]:
         return [i for i, r in enumerate(self.roles) if r == TERMINAL]
 
-    def edge_sum(self) -> float:
-        return math.fsum(abs(self.vertices[u] - self.vertices[v]) for u, v in self.edges)
-
     def diameter(self) -> float:
         pts = self.vertices
         if len(pts) < 2:
@@ -96,24 +93,28 @@ def reflect_tree(
     return transform_tree(tree, lambda z: reflect_across(z, axis_point, axis_angle))
 
 
-def merge_trees(parts: Sequence[EmbeddedTree], tol: float = 1e-12) -> EmbeddedTree:
-    """Union of trees sharing vertices; coincident vertices are identified.
+def merge_trees(parts: Sequence[EmbeddedTree]) -> EmbeddedTree:
+    """Union of trees sharing vertices; equal vertices are identified.
 
-    A shared vertex keeps the terminal role if it is a terminal in any part.
+    Vertices are matched by exact equality, so a vertex shared by two parts
+    must have bit-identical coordinates in both; distinct vertices are never
+    fused, however close.  A shared vertex keeps the terminal role if it is a
+    terminal in any part.
     """
     verts: list[complex] = []
     roles: list[str] = []
     edges: list[tuple[int, int]] = []
+    index_of: dict[complex, int] = {}
 
     def locate(z: complex, role: str) -> int:
-        for i, w in enumerate(verts):
-            if abs(w - z) <= tol:
-                if role == TERMINAL:
-                    roles[i] = TERMINAL
-                return i
-        verts.append(z)
-        roles.append(role)
-        return len(verts) - 1
+        i = index_of.get(z)
+        if i is None:
+            i = index_of[z] = len(verts)
+            verts.append(z)
+            roles.append(role)
+        elif role == TERMINAL:
+            roles[i] = TERMINAL
+        return i
 
     for part in parts:
         index = [locate(v, r) for v, r in zip(part.vertices, part.roles)]
@@ -162,12 +163,6 @@ class TerminalSet:
     def select(self, labels: Sequence[str]) -> "TerminalSet":
         pts = tuple(self.point(lab) for lab in labels)
         return TerminalSet(tuple(labels), pts)
-
-    def without(self, labels: Sequence[str]) -> "TerminalSet":
-        drop = set(labels)
-        keep = [lab for lab in self.labels if lab not in drop]
-        seg = self.segment if self.segment and not (set(self.segment) & drop) else None
-        return replace(self.select(keep), family=None, segment=seg)
 
 
 def as_points(terminals) -> tuple[complex, ...]:

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from steiner_ladder import cli
 from steiner_ladder.cli import main
 from steiner_ladder.serialization import (
     InstanceFormatError,
@@ -180,6 +181,24 @@ def test_region_csv(tmp_path, capsys):
         _a, _l, cond, sep = line.split(",")
         if cond == "1":
             assert sep == "1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dynamics", "--alpha", repr(math.pi / 36), "--lambda", "0.5",
+         "--periodic", "2", "--steps", "6", "--out", "orbit.csv"],
+        ["region", "--alpha-steps", "3", "--lambda-steps", "3", "--out", "region.csv"],
+    ],
+    ids=["dynamics", "region"],
+)
+def test_record_reports_measured_wall_time(tmp_path, capsys, monkeypatch, argv):
+    ticks = iter([100.0, 102.5])
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: next(ticks))
+    argv = argv[:-1] + [str(tmp_path / argv[-1])]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["wall_time_s"] == 2.5
 
 
 def test_render_deterministic(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from steiner_ladder.analysis import (
+    block_decompose,
     classify,
     maxwell_length,
     validate_steiner_geometry,
@@ -215,6 +216,17 @@ def test_a1_tree_blocks_and_lengths():
     ]
     assert len(hinges) == 1
     assert abs(hinges[0]) == pytest.approx(LAM**2, abs=1e-14)
+
+
+@pytest.mark.parametrize("word", ["0" * 20, "1" * 20, "01" * 10])
+def test_a1_deep_chain_keeps_every_vertex(word):
+    # 20 blocks of 5 terminals and 3 branching points, 19 shared hinges:
+    # 20 * 8 - 19 = 141 vertices; near-coincident deep vertices stay apart
+    tree = build_ladder_tree_A1(LadderParams(ALPHA, LAM, 41), word)
+    assert len(tree.vertices) == 141
+    blocks = block_decompose(tree)
+    assert len(blocks) == 20
+    assert all(classify(block) == "full" for block in blocks)
 
 
 def test_a1_word_mirror_invariance():

@@ -6,6 +6,7 @@ import pytest
 from steiner_ladder.analysis import local_min_gradient, maxwell_length, trees_mirror_equal
 from steiner_ladder.errors import DegenerateInputError, ParameterError
 from steiner_ladder.solver import (
+    _full_component_table,
     minimal_full_tree,
     minimum_spanning_tree,
     realize_full_topology,
@@ -152,6 +153,21 @@ def test_workers_path_matches_serial(rng):
     parallel = solve_exact(pts, tol=1e-9, workers=2)
     assert parallel.best.length == pytest.approx(serial.best.length, abs=1e-12)
     assert len(parallel.co_optima) == len(serial.co_optima)
+    assert [t.vertices for t in parallel.co_optima] == [t.vertices for t in serial.co_optima]
+
+
+def test_parallel_component_table_matches_serial():
+    # the regular heptagon has many equal-length full trees, so any difference
+    # in how ties are ordered shows
+    pts = tuple(cmath.exp(2j * math.pi * k / 7) for k in range(7))
+    keep = 1e-9 + 1e-10 * 3.0  # solve_exact's keep at tol=1e-9 (span < 2)
+    serial = _full_component_table(pts, keep, None)
+    parallel = _full_component_table(pts, keep, 2)
+    assert parallel.keys() == serial.keys()
+    for mask, entries in serial.items():
+        assert [(L, t.vertices, t.edges) for L, t in parallel[mask]] == [
+            (L, t.vertices, t.edges) for L, t in entries
+        ], f"mask {mask:07b}"
 
 
 def test_minimal_full_tree_square():

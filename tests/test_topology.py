@@ -1,10 +1,9 @@
 import pytest
 
 from steiner_ladder.errors import ParameterError
+from steiner_ladder.solver import _enumerate_structures, _hypertree_dp
 from steiner_ladder.topology import (
-    BlockDecomposition,
     count_full_topologies,
-    enumerate_block_decompositions,
     enumerate_full_topologies,
     iter_full_topologies,
 )
@@ -78,39 +77,50 @@ def test_enumeration_range_checks():
         enumerate_full_topologies(10)
 
 
+def block_decompositions(n):
+    """Every block structure on ``n`` terminals, from the solver's hypertree DP.
+
+    With weight |B| - 1 on every block of two or more terminals, every
+    structure weighs exactly n - 1, so all of them are optimal.
+    """
+    weight = {m: bin(m).count("1") - 1.0 for m in range(1, 1 << n) if m & (m - 1)}
+    min_total, g = _hypertree_dp(n, weight)
+    assert min_total == n - 1
+    return {
+        frozenset(frozenset(i for i in range(n) if block >> i & 1) for block in structure)
+        for structure in _enumerate_structures(n, weight, g, n - 1, 0.0)
+    }
+
+
 def test_block_decompositions_two_points():
-    decs = enumerate_block_decompositions(2)
-    assert len(decs) == 1
-    assert decs[0].blocks == (frozenset({0, 1}),)
+    assert block_decompositions(2) == {frozenset({frozenset({0, 1})})}
 
 
 def test_block_decompositions_three_points():
-    got = {frozenset(d.blocks) for d in enumerate_block_decompositions(3)}
     expected = {
         frozenset({frozenset({0, 1, 2})}),
         frozenset({frozenset({0, 1}), frozenset({1, 2})}),
         frozenset({frozenset({0, 1}), frozenset({0, 2})}),
         frozenset({frozenset({0, 2}), frozenset({1, 2})}),
     }
-    assert got == expected
+    assert block_decompositions(3) == expected
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_block_decompositions_match_brute_force(n):
-    got = {frozenset(d.blocks) for d in enumerate_block_decompositions(n)}
-    assert got == brute_block_decompositions(n)
+    assert block_decompositions(n) == brute_block_decompositions(n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_block_decomposition_invariants(n):
-    decs = enumerate_block_decompositions(n)
-    assert any(len(d.blocks) == 1 for d in decs)  # the trivial single block
+    decs = block_decompositions(n)
+    assert frozenset({frozenset(range(n))}) in decs  # the trivial single block
     for d in decs:
-        assert isinstance(d, BlockDecomposition)
-        assert sum(len(b) - 1 for b in d.blocks) == n - 1
-        for i, b1 in enumerate(d.blocks):
+        blocks = list(d)
+        assert sum(len(b) - 1 for b in blocks) == n - 1
+        for i, b1 in enumerate(blocks):
             assert len(b1) >= 2
-            for b2 in d.blocks[i + 1 :]:
+            for b2 in blocks[i + 1 :]:
                 assert len(b1 & b2) <= 1
         # connected gluing via union-find
         parent = list(range(n))
@@ -121,16 +131,9 @@ def test_block_decomposition_invariants(n):
                 x = parent[x]
             return x
 
-        for b in d.blocks:
+        for b in blocks:
             it = iter(sorted(b))
             r = find(next(it))
             for o in it:
                 parent[find(o)] = r
         assert len({find(i) for i in range(n)}) == 1
-
-
-def test_block_decomposition_range_checks():
-    with pytest.raises(ParameterError):
-        enumerate_block_decompositions(1)
-    with pytest.raises(ParameterError):
-        enumerate_block_decompositions(10)
