@@ -185,7 +185,7 @@ def validate_steiner_geometry(tree: EmbeddedTree, terminals=None) -> ValidityRep
     )
 
 
-def is_decomposable(tree: EmbeddedTree, terminals=None) -> bool:
+def is_decomposable(tree: EmbeddedTree) -> bool:
     """True when some terminal vertex has degree >= 2 (a splitting point)."""
     deg = tree.degrees()
     return any(deg[i] >= 2 for i in tree.terminal_indices())

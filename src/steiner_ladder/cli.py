@@ -38,7 +38,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="exact Steiner tree of an instance file")
     p.add_argument("instance")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9, help="tolerance, in terminal spans")
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", required=True, help="tree JSON output path")
     p.add_argument("--render", help="also write an SVG figure here")

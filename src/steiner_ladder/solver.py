@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DegenerateInputError, ParameterError
 from .geometry import ROT_LEFT, ROT_RIGHT, SQRT3
@@ -29,11 +29,34 @@ from .trees import STEINER, TERMINAL, EmbeddedTree, as_points
 
 @dataclass(frozen=True)
 class SteinerSolution:
-    """Global minimum plus every distinct optimal embedding within ``tol``."""
+    """Global minimum plus every distinct optimum within ``tol`` terminal spans of it."""
 
     best: EmbeddedTree
     co_optima: tuple[EmbeddedTree, ...]
     optimality_gap_tol: float
+
+
+# Solver tolerances, in units of the terminal span (see ``_normalise``).
+_EPS = 1e-12  # coincident points, zero edges, proper crossings, rounding
+_SLACK = 1e-10  # margin kept over ``tol``; agreement of merge and edge lengths; key grid
+_SAME = 1e-6  # vertex distance under which two optima are the same tree
+
+
+def _normalise(points: tuple[complex, ...]) -> tuple[tuple[complex, ...], Callable]:
+    """Terminals moved to their centroid and divided by their span, and the map back.
+
+    The map back keeps the caller's terminals (the first vertices of a tree)
+    bit for bit and moves only the branching points.
+    """
+    n = len(points)
+    centre = sum(points) / max(n, 1)
+    span = max((abs(p - q) for p in points for q in points), default=0.0) or 1.0  # 1.0: coincident
+
+    def back(tree: EmbeddedTree) -> EmbeddedTree:
+        moved = [centre + span * v for v in tree.vertices[n:]]
+        return EmbeddedTree.build([*points, *moved], tree.roles, tree.edges)
+
+    return tuple((p - centre) / span for p in points), back
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +227,8 @@ def _tree_from_candidate(
 ) -> EmbeddedTree | None:
     n = topo.n_terminals
     verts = list(points) + [final[s] for s in range(n, n + topo.n_steiner)]
-    scale = max(abs(p - q) for p in points for q in points) if n > 1 else 1.0
     for u, v in topo.edges:
-        if abs(verts[u] - verts[v]) <= 1e-12 * (1.0 + scale):
+        if abs(verts[u] - verts[v]) <= _EPS:
             return None
     tree = EmbeddedTree.build(verts, [TERMINAL] * n + [STEINER] * topo.n_steiner, topo.edges)
     return tree
@@ -219,26 +241,22 @@ def realize_full_topology(terminals, topo: Topology) -> EmbeddedTree | None:
     reconstructions the shortest is returned (orientation word breaks ties).
     """
     points = as_points(terminals)
-    if len(points) == 2:
-        return EmbeddedTree.build(points, [TERMINAL, TERMINAL], [(0, 1)])
-    _validate_full_topology(points, topo)
-    _best, kept = _subset_full_trees(points, 1e-12 * (1.0 + _span(points)), (topo,))
-    return kept[0][1] if kept else None
+    if len(points) != 2:
+        _validate_full_topology(points, topo)
+    return _shortest_full_tree(points, (topo,))
 
 
 def minimal_full_tree(terminals) -> EmbeddedTree | None:
     """Shortest realizable full topology over all topologies, or None."""
-    points = as_points(terminals)
+    return _shortest_full_tree(as_points(terminals), None)
+
+
+def _shortest_full_tree(points, topos: Iterable[Topology] | None) -> EmbeddedTree | None:
     if len(points) == 2:
         return EmbeddedTree.build(points, [TERMINAL, TERMINAL], [(0, 1)])
-    _best, kept = _subset_full_trees(points, 1e-12 * (1.0 + _span(points)))
-    return kept[0][1] if kept else None
-
-
-def _span(points: Sequence[complex]) -> float:
-    if len(points) < 2:
-        return 1.0
-    return max(abs(p - q) for i, p in enumerate(points) for q in points[i + 1 :])
+    unit, back = _normalise(points)
+    _best, kept = _subset_full_trees(unit, _EPS, topos)
+    return back(kept[0][1]) if kept else None
 
 
 def _subset_full_trees(
@@ -264,7 +282,7 @@ def _subset_full_trees(
         (c for c in out if c[0] <= best + keep), key=lambda c: (c[0], c[1], c[2])
     ):
         tree = _tree_from_candidate(points, topo, final)
-        if tree is not None and abs(tree.length - L) <= 1e-9 * (1.0 + L):
+        if tree is not None and abs(tree.length - L) <= _SLACK:
             kept.append((L, tree))
     return best, kept
 
@@ -279,19 +297,21 @@ def solve_exact(terminals, tol: float = 1e-9, workers: int | None = None) -> Ste
     Every candidate is a union of full components glued at shared terminals;
     full components are exhausted per terminal subset via the merge scheme.
     ``co_optima`` lists all geometrically distinct optima within ``tol`` of
-    the best length, canonically ordered.
+    the best length, canonically ordered; ``best`` is the shortest of them.
+    ``tol`` is in units of the terminal span (the largest distance between
+    two terminals), so similar inputs give similar answers.
     """
-    points = as_points(terminals)
-    n = len(points)
+    terminals = as_points(terminals)
+    n = len(terminals)
     if not 2 <= n <= MAX_TERMINALS:
         raise ParameterError(f"solve_exact requires 2..{MAX_TERMINALS} terminals, got {n}")
-    scale = _span(points)
+    points, back = _normalise(terminals)
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(points[i] - points[j]) <= 1e-12 * (1.0 + scale):
+            if abs(points[i] - points[j]) <= _EPS:
                 raise DegenerateInputError(f"terminals {i} and {j} coincide")
 
-    keep = tol + 1e-10 * (1.0 + scale)
+    keep = tol + _SLACK
     table = _full_component_table(points, keep, workers)
 
     weight = {mask: entries[0][0] for mask, entries in table.items() if entries}
@@ -299,7 +319,7 @@ def solve_exact(terminals, tol: float = 1e-9, workers: int | None = None) -> Ste
     if not math.isfinite(min_total):
         raise ParameterError("no connected structure found")  # unreachable: segments always exist
 
-    structures = _enumerate_structures(n, weight, g, min_total, tol + 1e-10 * (1.0 + scale))
+    structures = _enumerate_structures(n, weight, g, min_total, keep)
 
     candidates: list[EmbeddedTree] = []
     for structure in sorted(structures, key=lambda s: tuple(sorted(s))):
@@ -309,7 +329,7 @@ def solve_exact(terminals, tol: float = 1e-9, workers: int | None = None) -> Ste
         slack = min_total + tol - floor
         for combo in itertools.product(*per_block):
             extra = sum(L for L, _t in combo) - floor
-            if extra > slack + 1e-12 * (1.0 + scale):
+            if extra > slack + _EPS:
                 continue
             tree = _assemble(points, blocks, [t for _L, t in combo])
             if not _has_crossing(tree):
@@ -319,9 +339,10 @@ def solve_exact(terminals, tol: float = 1e-9, workers: int | None = None) -> Ste
         raise ParameterError("no valid embedding found")  # unreachable
     best_len = min(t.length for t in candidates)
     optima = [t for t in candidates if t.length <= best_len + tol]
-    optima = _dedupe(optima, 1e-6 * max(scale, 1e-30))
+    optima = _dedupe(optima, _SAME)
     optima.sort(key=_canonical_key)
-    return SteinerSolution(optima[0], tuple(optima), tol)
+    optima = [back(t) for t in optima]
+    return SteinerSolution(min(optima, key=lambda t: t.length), tuple(optima), tol)
 
 
 def _full_component_table(
@@ -464,14 +485,13 @@ def _assemble(
 def _has_crossing(tree: EmbeddedTree) -> bool:
     """True when two edges not sharing a vertex properly cross."""
     segs = [(u, v, tree.vertices[u], tree.vertices[v]) for u, v in tree.edges]
-    eps = 1e-12 * (1.0 + tree.diameter())
     for i in range(len(segs)):
         u1, v1, a1, b1 = segs[i]
         for j in range(i + 1, len(segs)):
             u2, v2, a2, b2 = segs[j]
             if {u1, v1} & {u2, v2}:
                 continue
-            if _proper_cross(a1, b1, a2, b2, eps):
+            if _proper_cross(a1, b1, a2, b2, _EPS):
                 return True
     return False
 
@@ -521,8 +541,9 @@ def _dedupe(trees: list[EmbeddedTree], tol: float) -> list[EmbeddedTree]:
 
 
 def _canonical_key(tree: EmbeddedTree):
-    pts = sorted((round(v.real, 9), round(v.imag, 9)) for v in tree.vertices)
-    return (round(tree.length, 9), len(tree.vertices), tuple(pts))
+    """Order of co-optima; ``tree`` is in the unit frame."""
+    pts = sorted((round(v.real / _SLACK), round(v.imag / _SLACK)) for v in tree.vertices)
+    return (round(tree.length / _SLACK), len(tree.vertices), tuple(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +578,5 @@ def minimum_spanning_tree(terminals) -> EmbeddedTree:
 def steiner_ratio(terminals, tol: float = 1e-9, workers: int | None = None) -> float:
     """Steiner minimal length divided by minimum spanning length."""
     points = as_points(terminals)
-    if len(points) == 2:
-        return 1.0
     solution = solve_exact(points, tol=tol, workers=workers)
     return solution.best.length / minimum_spanning_tree(points).length

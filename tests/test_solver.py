@@ -2,11 +2,15 @@ import cmath
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from steiner_ladder.analysis import local_min_gradient, maxwell_length, trees_mirror_equal
 from steiner_ladder.errors import DegenerateInputError, ParameterError
 from steiner_ladder.solver import (
+    _SLACK,
     _full_component_table,
+    _normalise,
     minimal_full_tree,
     minimum_spanning_tree,
     realize_full_topology,
@@ -54,6 +58,9 @@ def test_realize_infeasible_returns_none():
     (topo,) = enumerate_full_topologies(3)
     # wide angle at the middle point: the branching point degenerates
     assert realize_full_topology([0, 1 + 0.0001j, 2], topo) is None
+    # coincident terminals have no span to normalise by
+    assert realize_full_topology([1, 1, 1], topo) is None
+    assert minimal_full_tree([1, 1, 1]) is None
 
 
 def test_realize_validates_topology():
@@ -112,18 +119,61 @@ def test_solve_rejects_bad_sizes_and_duplicates():
         solve_exact([complex(k, k % 3) for k in range(10)])
     with pytest.raises(DegenerateInputError):
         solve_exact([0, 1, 1 + 0j])
+    with pytest.raises(DegenerateInputError):
+        solve_exact([0j, 0j])
 
 
-def test_solve_invariance_under_rigid_motions(rng):
-    for _ in range(5):
-        pts = [complex(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(4)]
-        base = solve_exact(pts).best.length
-        rot = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        shift = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        moved = solve_exact([rot * p + shift for p in pts]).best.length
-        assert abs(moved - base) <= 1e-9 * max(1.0, base)
-        scaled = solve_exact([2.5 * p for p in pts]).best.length
-        assert abs(scaled - 2.5 * base) <= 1e-9 * max(1.0, base)
+@st.composite
+def _terminals_and_order(draw):
+    n = draw(st.integers(min_value=3, max_value=6))
+    coord = st.floats(min_value=0.0, max_value=1.0)
+    pts = draw(
+        st.lists(st.builds(complex, coord, coord), min_size=n, max_size=n).filter(
+            lambda ps: all(abs(p - q) >= 0.02 for i, p in enumerate(ps) for q in ps[i + 1 :])
+        )
+    )
+    return pts, draw(st.permutations(range(n)))
+
+
+def _similar(pts, order, angle, reflect, factor):
+    turn = factor * cmath.exp(1j * angle)
+    return [turn * (pts[i].conjugate() if reflect else pts[i]) for i in order]
+
+
+def _assert_same_answer(pts, sol, want):
+    """``sol`` solves ``pts``; ``want`` is the (length, count) expected of it."""
+    lengths = [t.length for t in sol.co_optima]
+    assert sol.best.length == min(lengths)
+    assert sol.best.length <= minimum_spanning_tree(pts).length * (1 + 1e-12)
+    assert sol.best.length == pytest.approx(want[0], rel=1e-9)
+    assert len(sol.co_optima) == want[1]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    case=_terminals_and_order(),
+    angle=st.floats(min_value=0.0, max_value=2 * math.pi),
+    reflect=st.booleans(),
+    factor=st.sampled_from([1e-9, 2.5, 1e9]),
+    offset=st.sampled_from([1e9, -1e9, 1e9j, -1e9 + 1e9j]),
+)
+# the unit square at 1e-9 and at an offset of 1e9: two optima of length 1 + sqrt(3)
+@example(case=(SQUARE, [0, 1, 2, 3]), angle=0.0, reflect=False, factor=1e-9, offset=1e9)
+def test_solve_invariance_under_rigid_motions(case, angle, reflect, factor, offset):
+    pts, order = case
+    base = solve_exact(pts)
+    want = (base.best.length, len(base.co_optima))
+    _assert_same_answer(pts, base, want)
+
+    similar = _similar(pts, order, angle, reflect, factor)
+    _assert_same_answer(similar, solve_exact(similar), (factor * want[0], want[1]))
+
+    # coordinates near 1e9 round to about 1e-7, so the translated set is
+    # compared with itself shifted back exactly, not with ``pts``
+    moved = [z + offset for z in _similar(pts, order, angle, reflect, 1.0)]
+    back = [z - offset for z in moved]
+    back_sol = solve_exact(back)
+    _assert_same_answer(moved, solve_exact(moved), (back_sol.best.length, len(back_sol.co_optima)))
 
 
 def test_solve_never_beats_mst_and_never_loses_to_it(rng):
@@ -159,8 +209,8 @@ def test_workers_path_matches_serial(rng):
 def test_parallel_component_table_matches_serial():
     # the regular heptagon has many equal-length full trees, so any difference
     # in how ties are ordered shows
-    pts = tuple(cmath.exp(2j * math.pi * k / 7) for k in range(7))
-    keep = 1e-9 + 1e-10 * 3.0  # solve_exact's keep at tol=1e-9 (span < 2)
+    pts, _back = _normalise(tuple(cmath.exp(2j * math.pi * k / 7) for k in range(7)))
+    keep = 1e-9 + _SLACK  # solve_exact's keep at tol=1e-9
     serial = _full_component_table(pts, keep, None)
     parallel = _full_component_table(pts, keep, 2)
     assert parallel.keys() == serial.keys()
@@ -175,6 +225,9 @@ def test_minimal_full_tree_square():
     assert tree is not None
     assert tree.length == pytest.approx(1 + SQRT3, abs=1e-12)
     assert terminal_degrees(tree) == [1, 1, 1, 1]
+    far = minimal_full_tree([z + 1e9 for z in SQUARE])
+    assert far is not None
+    assert far.length == pytest.approx(1 + SQRT3, rel=1e-9)
 
 
 def test_mst_examples():
