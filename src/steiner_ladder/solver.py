@@ -1,21 +1,32 @@
 """Exact geometric Steiner trees for small planar terminal sets.
 
-A full topology is realized by the classic merge/reconstruct scheme: pairs of
-leaves attached to a common branching label are repeatedly replaced by the
-third vertex of their equilateral triangle (both orientations are branched
-on), the surviving two-point segment gives the candidate length, and walking
-the merges backwards intersects each segment with the corresponding
-circumcircle arc to place the branching points.  A branch whose
-reconstruction point leaves the open arc is infeasible.
+A full tree is found by the classic merge/reconstruct scheme.  Two subtrees
+hanging from one branching point are replaced by the third vertex of an
+equilateral triangle on their points (both orientations are tried).  The
+segment left between the root terminal and the last such point gives the
+tree's length.  Walking the merges backwards intersects each segment with the
+circumcircle arc of its triangle to place the branching points; a branch
+whose point leaves the open arc is infeasible (``_reconstruct``).
 
-``solve_exact`` exhausts full components over all terminal subsets and glues
-them at shared terminals (blocks pairwise share at most one terminal and the
-block graph is a tree), which covers every possible Steiner minimal tree
-structure.
+``solve_exact`` and ``minimal_full_tree`` build these equilateral points
+bottom-up, once per terminal mask, and share them across every subset that
+roots them at a lower terminal (``_generate``, ``_full_component_table``).
+Each point carries a cone: the directions, seen from the point, of the part
+of its arc at which its children can still place their branching points.
+Pairs whose child cones leave no common part of the new arc are cut, and a
+subset's root must lie in the cone of the point it reads, so almost every
+infeasible orientation is dropped before reconstruction.
+``realize_full_topology`` keeps the per-topology scan: a merge plan and a
+depth-first search over the orientation words (``_scan_topology``).
+
+``solve_exact`` then glues full components at shared terminals (blocks
+pairwise share at most one terminal and the block graph is a tree), which
+covers every possible Steiner minimal tree structure.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,7 +47,8 @@ class SteinerSolution:
     optimality_gap_tol: float
 
 
-# Solver tolerances, in units of the terminal span (see ``_normalise``).
+# Solver tolerances, in units of the terminal span (see ``_normalise``).  ``_SLACK``
+# is also the angle, in radians, by which the cone cuts of ``_generate`` err towards keeping.
 _EPS = 1e-12  # coincident points, zero edges, proper crossings, rounding
 _SLACK = 1e-10  # margin kept over ``tol``; agreement of merge and edge lengths; key grid
 _SAME = 1e-6  # vertex distance under which two optima are the same tree
@@ -243,19 +255,26 @@ def realize_full_topology(terminals, topo: Topology) -> EmbeddedTree | None:
     points = as_points(terminals)
     if len(points) != 2:
         _validate_full_topology(points, topo)
-    return _shortest_full_tree(points, (topo,))
+    return _shortest_full_tree(points, topo)
 
 
 def minimal_full_tree(terminals) -> EmbeddedTree | None:
     """Shortest realizable full topology over all topologies, or None."""
-    return _shortest_full_tree(as_points(terminals), None)
+    points = as_points(terminals)
+    if not 2 <= len(points) <= MAX_TERMINALS:
+        raise ParameterError(f"minimal_full_tree requires 2..{MAX_TERMINALS} terminals")
+    return _shortest_full_tree(points, None)
 
 
-def _shortest_full_tree(points, topos: Iterable[Topology] | None) -> EmbeddedTree | None:
+def _shortest_full_tree(points, topo: Topology | None) -> EmbeddedTree | None:
+    """``topo`` realized, or with None the full-set entry of the component table."""
     if len(points) == 2:
         return EmbeddedTree.build(points, [TERMINAL, TERMINAL], [(0, 1)])
     unit, back = _normalise(points)
-    _best, kept = _subset_full_trees(unit, _EPS, topos)
+    if topo is None:
+        kept = _full_component_table(unit, _EPS)[(1 << len(unit)) - 1]
+    else:
+        kept = _subset_full_trees(unit, _EPS, (topo,))[1]
     return back(kept[0][1]) if kept else None
 
 
@@ -263,19 +282,18 @@ def _subset_full_trees(
     points: Sequence[complex],
     keep: float,
     topos: Iterable[Topology] | None = None,
-    start: int = 0,
 ) -> tuple[float, list[tuple[float, EmbeddedTree]]]:
     """Valid full trees on ``points`` within ``keep`` of the shortest one.
 
-    ``topos`` defaults to streaming every full topology on ``points``; they
-    are numbered from ``start``.  Returns ``(best, kept)``: the shortest valid
+    ``topos`` defaults to streaming every full topology on ``points``, in
+    enumeration order.  Returns ``(best, kept)``: the shortest valid
     merge length seen and the kept trees in (length, topology number,
     orientation word) order.
     """
     out: list = []
     best = math.inf
     source = topos if topos is not None else iter_full_topologies(len(points))
-    for key, topo in enumerate(source, start):
+    for key, topo in enumerate(source):
         best = _scan_topology(points, topo, key, best, keep, out)
     kept = []
     for L, key, word, final, topo in sorted(
@@ -288,10 +306,95 @@ def _subset_full_trees(
 
 
 # ---------------------------------------------------------------------------
+# equilateral points shared across subsets
+
+_TAU = 2.0 * math.pi
+_ARC = math.pi / 3.0  # the Steiner arc of an equilateral point, seen from it
+_ORIENTATIONS = ((1.0, ROT_LEFT), (-1.0, ROT_RIGHT))  # turn of the arc parameter, rotation
+
+
+def _points_of(T: int, points: tuple[complex, ...], memo: dict[int, list[tuple]], cap: int):
+    """The equilateral points of mask ``T``: a list held in ``memo``, or above ``cap``
+    terminals a fresh stream."""
+    if T.bit_count() > cap:
+        return _generate(T, points, memo, cap)
+    got = memo.get(T)
+    if got is None:
+        got = memo[T] = list(_generate(T, points, memo, cap))
+    return got
+
+
+def _generate(T: int, points: tuple[complex, ...], memo: dict[int, list[tuple]], cap: int):
+    """Yield every feasible equilateral point of a rooted full tree on the terminals of ``T``.
+
+    A point is ``(E, mid, half, left, right)``; a terminal is
+    ``(z, 0.0, inf, index, None)``.  The cone ``mid +- half`` holds the
+    directions from E to the part of its Steiner arc (the circumcircle arc
+    between its children, seen from E under 60 degrees) at which both
+    children can still place their own branching points: the parent of E
+    must lie in it.  Along the arc, parameter phi in [0, pi/3] turns the
+    directions from E, from the left child and from the right child at the
+    same rate, so each child's cone, widened by ``_SLACK`` radians, cuts an
+    interval of phi.  A pair is cut when the two intervals share no phi in
+    [0, pi/3]; only pairs that ``_reconstruct`` would reject are.
+    """
+    low = T & -T
+    rest = T ^ low
+    A = rest
+    while A:
+        A = (A - 1) & rest
+        T1, T2 = low | A, rest ^ A
+        small, big = (T1, T2) if T1.bit_count() <= T2.bit_count() else (T2, T1)
+        smalls = _points_of(small, points, memo, cap)
+        if not smalls:
+            continue
+        for p in _points_of(big, points, memo, cap):
+            e1, m1, h1 = p[0], p[1], p[2] + _SLACK
+            for q in smalls:
+                e2, m2, h2 = q[0], q[1], q[2] + _SLACK
+                d = e2 - e1
+                v = cmath.phase(d)
+                for sigma, rot in _ORIENTATIONS:
+                    # at phi = 0 the arc leaves e1 along v - sigma*pi/3 and is seen
+                    # from e2 along v + pi
+                    f1 = sigma * ((m1 - v + sigma * _ARC + math.pi) % _TAU - math.pi)
+                    f2 = sigma * ((m2 - v) % _TAU - math.pi)
+                    lo = f1 - h1 if f1 - h1 > f2 - h2 else f2 - h2
+                    hi = f1 + h1 if f1 + h1 < f2 + h2 else f2 + h2
+                    if lo < 0.0:
+                        lo = 0.0
+                    if hi > _ARC:
+                        hi = _ARC
+                    if lo <= hi:
+                        # from E the arc starts towards e1, along v - sigma*2pi/3
+                        mid = v - sigma * 2.0 * _ARC + sigma * 0.5 * (lo + hi)
+                        yield (e1 + d * rot, mid, 0.5 * (hi - lo), p, q)
+
+
+def _flatten(
+    node: tuple, local: dict[int, int], pseudo: list[complex], plan: list, third: int
+) -> int:
+    """Label of ``node`` in a merge plan whose merges it appends, children first.
+
+    A terminal is labelled by its local index.  A branching point takes the
+    next label of ``pseudo``, which receives its equilateral point, and joins
+    the plan as ``(label, left, right, third)``, ``third`` being its parent.
+    """
+    if node[4] is None:
+        return local[node[3]]
+    s = len(pseudo)
+    pseudo.append(node[0])
+    a = _flatten(node[3], local, pseudo, plan, s)
+    b = _flatten(node[4], local, pseudo, plan, s)
+    plan.append((s, a, b, third))
+    return s
+
+
+# ---------------------------------------------------------------------------
 # exact solver over block structures
 
 
-def solve_exact(terminals, tol: float = 1e-9, workers: int | None = None) -> SteinerSolution:
+def solve_exact(terminals, tol: float = 1e-9) -> SteinerSolution:
     """Exact Steiner minimal trees on 2..9 terminals.
 
     Every candidate is a union of full components glued at shared terminals;
@@ -312,7 +415,7 @@ def solve_exact(terminals, tol: float = 1e-9, workers: int | None = None) -> Ste
                 raise DegenerateInputError(f"terminals {i} and {j} coincide")
 
     keep = tol + _SLACK
-    table = _full_component_table(points, keep, workers)
+    table = _full_component_table(points, keep)
 
     weight = {mask: entries[0][0] for mask, entries in table.items() if entries}
     min_total, g = _hypertree_dp(n, weight)
@@ -346,14 +449,17 @@ def solve_exact(terminals, tol: float = 1e-9, workers: int | None = None) -> Ste
 
 
 def _full_component_table(
-    points: tuple[complex, ...], keep: float, workers: int | None
+    points: tuple[complex, ...], keep: float
 ) -> dict[int, list[tuple[float, EmbeddedTree]]]:
     """Best full trees (within ``keep``) for every terminal subset mask.
 
-    Each subset is one task, except that a parallel run splits the full set
-    into consecutive runs of topologies.  Topology numbers carry across the
-    runs, so the merge below gives the same entries in the same order
-    however the work was split.
+    A subset S is rooted at its lowest terminal r, and its full trees are the
+    equilateral points of T = S minus r seen from r.  The points of each mask
+    T are generated once and read by every subset T + r with r < min(T).  A
+    point is a candidate when r lies in its cone; with merge length
+    L = |r - E| below the running best plus ``keep`` it is reconstructed at
+    once.  Each entry keeps the valid trees within ``keep`` of the shortest
+    valid L, ordered by length.
     """
     n = len(points)
     table: dict[int, list[tuple[float, EmbeddedTree]]] = {}
@@ -361,44 +467,48 @@ def _full_component_table(
         seg = EmbeddedTree.build([points[i], points[j]], [TERMINAL, TERMINAL], [(0, 1)])
         table[(1 << i) | (1 << j)] = [(seg.length, seg)]
 
-    parallel = bool(workers and workers > 1 and n >= 7)
-    topos = {size: list(iter_full_topologies(size)) for size in range(3, n)}
-    tasks: list[tuple[int, tuple[complex, ...], float, Sequence[Topology] | None, int]] = []
-    for size in range(3, n + 1):
-        for idxs in itertools.combinations(range(n), size):
-            mask = sum(1 << i for i in idxs)
-            pts = tuple(points[i] for i in idxs)
-            if size < n:
-                tasks.append((mask, pts, keep, topos[size], 0))
-            elif parallel:
-                full = list(iter_full_topologies(n))
-                step = max(1, len(full) // (4 * workers))
-                for lo in range(0, len(full), step):
-                    tasks.append((mask, pts, keep, full[lo : lo + step], lo))
-            else:  # streamed, so the largest enumeration is never held in memory
-                tasks.append((mask, pts, keep, None, 0))
-
-    masks, *args = ([task[k] for task in tasks] for k in range(5))
-    results: Iterable[tuple[float, list[tuple[float, EmbeddedTree]]]] | None = None
-    if parallel:
-        import concurrent.futures as cf
-
-        try:
-            with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_subset_full_trees, *args, chunksize=1))
-        except (OSError, RuntimeError):
-            pass  # no process pool here: run serially below
-    if results is None:
-        results = map(_subset_full_trees, *args)
-
-    parts: dict[int, list[tuple[float, list[tuple[float, EmbeddedTree]]]]] = {}
-    for mask, result in zip(masks, results):
-        parts.setdefault(mask, []).append(result)
-    for mask, chunks in parts.items():
-        best = min(b for b, _kept in chunks)
-        entries = [e for _b, kept in chunks for e in kept if e[0] <= best + keep]
-        entries.sort(key=lambda e: e[0])  # stable: ties stay in topology order
-        table[mask] = entries
+    memo: dict[int, list[tuple]] = {
+        1 << i: [(points[i], 0.0, math.inf, i, None)] for i in range(1, n)
+    }
+    cap = max(n - 4, (n - 1) // 2)  # larger masks are streamed, not held
+    for T in range(6, 1 << n, 2):
+        if T.bit_count() < 2:
+            continue
+        members = [i for i in range(n) if T >> i & 1]
+        subsets = []
+        for r in range(members[0]):
+            idxs = [r, *members]
+            local = {i: k for k, i in enumerate(idxs)}
+            subsets.append((T | 1 << r, tuple(points[i] for i in idxs), local, []))
+        best = [math.inf] * len(subsets)
+        for node in _points_of(T, points, memo, cap):
+            E, mid, half = node[0], node[1], node[2]
+            for k, (_S, pts, local, found) in enumerate(subsets):
+                x = pts[0] - E
+                L = abs(x)
+                if L >= best[k] + keep:
+                    continue
+                if abs((cmath.phase(x) - mid + math.pi) % _TAU - math.pi) > half + _SLACK:
+                    continue  # the root is outside the cone
+                pseudo = list(pts)
+                plan: list[tuple[int, int, int, int]] = []
+                top = _flatten(node, local, pseudo, plan, 0)
+                final = _reconstruct(pts, pseudo, plan, 0, top)
+                if final is not None:
+                    found.append((L, plan, final))
+                    best[k] = min(best[k], L)
+        for k, (S, pts, _local, found) in enumerate(subsets):
+            entries = []
+            for L, plan, final in sorted(
+                (c for c in found if c[0] <= best[k] + keep), key=lambda c: c[0]
+            ):
+                edges = [(t, s) for s, _a, _b, t in plan]  # every merge to its parent
+                edges += [(c, s) for s, a, b, _t in plan for c in (a, b) if c < len(pts)]
+                topo = Topology(len(pts), len(plan), tuple(sorted(edges)))
+                tree = _tree_from_candidate(pts, topo, final)
+                if tree is not None and abs(tree.length - L) <= _SLACK:
+                    entries.append((L, tree))
+            table[S] = entries
     return table
 
 
@@ -575,8 +685,8 @@ def minimum_spanning_tree(terminals) -> EmbeddedTree:
     return EmbeddedTree.build(points, [TERMINAL] * n, edges)
 
 
-def steiner_ratio(terminals, tol: float = 1e-9, workers: int | None = None) -> float:
+def steiner_ratio(terminals, tol: float = 1e-9) -> float:
     """Steiner minimal length divided by minimum spanning length."""
     points = as_points(terminals)
-    solution = solve_exact(points, tol=tol, workers=workers)
+    solution = solve_exact(points, tol=tol)
     return solution.best.length / minimum_spanning_tree(points).length

@@ -139,7 +139,7 @@ def test_criterion_4_nine_terminal_multiplicity():
             expected[word] = tree
 
     t0 = time.perf_counter()
-    sol = solve_exact(pts, tol=1e-8, workers=2)
+    sol = solve_exact(pts, tol=1e-8)
     dt = time.perf_counter() - t0
     a3 = LAM**2 * complex(math.cos(ALPHA), math.sin(ALPHA))
     b3 = a3.conjugate()

@@ -55,6 +55,17 @@ def test_solve_five_point_block_is_full(tmp_path, capsys):
     assert sum(1 for r in tree.roles if r == "steiner") == 3
 
 
+def test_solve_workers_flag_is_deprecated_and_ignored(tmp_path, capsys):
+    out = tmp_path / "tree.json"
+    code, stdout = run(capsys, "solve", fixture("a5.json"), "--out", str(out))
+    assert code == 0
+    code_w = main(["solve", fixture("a5.json"), "--out", str(out), "--workers", "2"])
+    captured = capsys.readouterr()
+    assert code_w == 0
+    assert json.loads(captured.out)["length"] == json.loads(stdout)["length"]
+    assert len(captured.err.splitlines()) == 1 and "deprecated" in captured.err
+
+
 def test_solve_two_points(tmp_path, capsys):
     out = tmp_path / "tree.json"
     code, stdout = run(capsys, "solve", fixture("two_points.json"), "--out", str(out))

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import pytest
@@ -7,10 +8,12 @@ from hypothesis import strategies as st
 
 from steiner_ladder.analysis import local_min_gradient, maxwell_length, trees_mirror_equal
 from steiner_ladder.errors import DegenerateInputError, ParameterError
+from steiner_ladder.ladder import LadderParams, build_input
 from steiner_ladder.solver import (
     _SLACK,
     _full_component_table,
     _normalise,
+    _subset_full_trees,
     minimal_full_tree,
     minimum_spanning_tree,
     realize_full_topology,
@@ -121,6 +124,10 @@ def test_solve_rejects_bad_sizes_and_duplicates():
         solve_exact([0, 1, 1 + 0j])
     with pytest.raises(DegenerateInputError):
         solve_exact([0j, 0j])
+    with pytest.raises(ParameterError):
+        minimal_full_tree([0])
+    with pytest.raises(ParameterError):
+        minimal_full_tree([complex(k, k % 3) for k in range(10)])
 
 
 @st.composite
@@ -197,27 +204,66 @@ def test_solve_matches_descent_oracle_on_random_quadruples(rng):
         assert sol.best.length <= oracle + 1e-12
 
 
-def test_workers_path_matches_serial(rng):
-    pts = [complex(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(7)]
-    serial = solve_exact(pts, tol=1e-9)
-    parallel = solve_exact(pts, tol=1e-9, workers=2)
-    assert parallel.best.length == pytest.approx(serial.best.length, abs=1e-12)
-    assert len(parallel.co_optima) == len(serial.co_optima)
-    assert [t.vertices for t in parallel.co_optima] == [t.vertices for t in serial.co_optima]
+def _ladder(k_a, k_b):
+    ts = build_input(LadderParams(math.pi / 36, 0.5, max(k_a, k_b)), "A1")
+    labels = [f"A{k}" for k in range(1, k_a + 1)] + [f"B{k}" for k in range(1, k_b + 1)]
+    return [complex(ts.point(lab)) for lab in labels]
 
 
-def test_parallel_component_table_matches_serial():
-    # the regular heptagon has many equal-length full trees, so any difference
-    # in how ties are ordered shows
-    pts, _back = _normalise(tuple(cmath.exp(2j * math.pi * k / 7) for k in range(7)))
+def _random_points(rng, n):
+    return [complex(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(n)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *(
+            pytest.param(lambda rng, n=n: _random_points(rng, n), id=f"random-{n}")
+            for n in (4, 5, 6, 7)
+        ),
+        pytest.param(lambda rng: _ladder(4, 3), id="ladder-A4B3"),
+        pytest.param(lambda rng: _ladder(3, 4), id="ladder-A3B4"),
+        pytest.param(lambda rng: _ladder(4, 4), id="ladder-A4B4"),
+        # the regular heptagon has many equal-length full trees
+        pytest.param(
+            lambda rng: [cmath.exp(2j * math.pi * k / 7) for k in range(7)], id="heptagon"
+        ),
+        pytest.param(lambda rng: [complex(x, y) for x in range(3) for y in range(2)], id="lattice"),
+        pytest.param(lambda rng: [0, 1, 3], id="collinear"),
+        pytest.param(lambda rng: [0, 1e-4, 1 + 1j, 0.5 - 0.7j, 1.2 + 0.1j], id="close-pair"),
+    ],
+)
+def test_component_table_matches_per_topology_scan(make, rng):
+    # the shared equilateral points with cone cuts keep, mask for mask, what
+    # scanning every topology and orientation word keeps
+    pts, _back = _normalise(tuple(complex(z) for z in make(rng)))
+    n = len(pts)
     keep = 1e-9 + _SLACK  # solve_exact's keep at tol=1e-9
-    serial = _full_component_table(pts, keep, None)
-    parallel = _full_component_table(pts, keep, 2)
-    assert parallel.keys() == serial.keys()
-    for mask, entries in serial.items():
-        assert [(L, t.vertices, t.edges) for L, t in parallel[mask]] == [
-            (L, t.vertices, t.edges) for L, t in entries
-        ], f"mask {mask:07b}"
+    table = _full_component_table(pts, keep)
+    assert sorted(table) == sorted(m for m in range(1 << n) if m.bit_count() >= 2)
+    for size in range(3, n + 1):
+        for idxs in itertools.combinations(range(n), size):
+            mask = sum(1 << i for i in idxs)
+            _best, kept = _subset_full_trees(tuple(pts[i] for i in idxs), keep)
+            got = [L for L, _t in table[mask]]
+            want = [L for L, _t in kept]
+            assert len(got) == len(want), f"mask {mask:0{n}b}: {got} vs {want}"
+            assert all(abs(a - b) <= 1e-12 for a, b in zip(got, want)), f"mask {mask:0{n}b}"
+
+
+def test_minimal_full_tree_matches_every_topology(rng):
+    for n in (4, 5, 6):
+        topos = enumerate_full_topologies(n)
+        for _ in range(6):
+            pts = _random_points(rng, n)
+            tree = minimal_full_tree(pts)
+            realized = [realize_full_topology(pts, topo) for topo in topos]
+            lengths = [t.length for t in realized if t is not None]
+            if not lengths:
+                assert tree is None
+            else:
+                assert tree is not None
+                assert abs(tree.length - min(lengths)) <= 1e-12
 
 
 def test_minimal_full_tree_square():
