@@ -69,9 +69,9 @@ def angle_at(vertex: complex, p: complex, q: complex) -> float:
     v = complex(q) - complex(vertex)
     if u == 0 or v == 0:
         raise DegenerateInputError("angle_at: ray endpoint coincides with vertex")
-    dot = u.real * v.real + u.imag * v.imag
-    cross = u.real * v.imag - u.imag * v.real
-    return math.atan2(abs(cross), dot)
+    # the quotient of the unit rays has the dot and cross products of the rays for
+    # its parts; those of the raw rays are subnormal once the rays are 1e-157 long
+    return abs(cmath.phase((v / abs(v)) / (u / abs(u))))
 
 
 def fermat_point(a: complex, b: complex, c: complex) -> tuple[Point, str]:

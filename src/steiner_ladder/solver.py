@@ -10,12 +10,25 @@ whose point leaves the open arc is infeasible (``_reconstruct``).
 
 ``solve_exact`` and ``minimal_full_tree`` build these equilateral points
 bottom-up, once per terminal mask, and share them across every subset that
-roots them at a lower terminal (``_generate``, ``_full_component_table``).
+roots them at a lower terminal (``_merges``, ``_full_component_table``).
+Every equilateral point is E = sum of omega^k_i * z_i over its terminals,
+omega = e^(i pi/3), so rooted trees with equal exponents k_i share one E,
+and so every point and length built on it.  Each mask below the top is held
+once, as signature classes (``_Classes``): one E per exponent tuple, keyed
+exactly by the exponents packed into one int, with the merges (alternatives)
+that give it.  The memo is compact: columns of floats and packed ints, and
+masks of up to three terminals, whose signatures never repeat, skip the key
+index.  The top mask (every terminal but 0, read by the full set only) is
+streamed merge by merge and not held.
 Each point carries a cone: the directions, seen from the point, of the part
-of its arc at which its children can still place their branching points.
-Pairs whose child cones leave no common part of the new arc are cut, and a
-subset's root must lie in the cone of the point it reads, so almost every
-infeasible orientation is dropped before reconstruction.
+of its arc at which its children can still place their branching points; a
+class carries a cone covering those of its alternatives.  Pairs whose child
+cones leave no common part of the new arc are cut, and a subset's root must
+lie in the cone of the point it reads, so almost every infeasible orientation
+is dropped before any placement.  A candidate's trees are then placed
+top-down over its classes (``_realise``, one ``_place`` per branching point);
+an alternative whose branching point misses its arc is dropped with its
+whole subtree.
 ``realize_full_topology`` keeps the per-topology scan: a merge plan and a
 depth-first search over the orientation words (``_scan_topology``).
 
@@ -29,6 +42,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -48,7 +62,7 @@ class SteinerSolution:
 
 
 # Solver tolerances, in units of the terminal span (see ``_normalise``).  ``_SLACK``
-# is also the angle, in radians, by which the cone cuts of ``_generate`` err towards keeping.
+# is also the angle, in radians, by which the cone cuts of ``_merges`` err towards keeping.
 _EPS = 1e-12  # coincident points, zero edges, proper crossings, rounding
 _SLACK = 1e-10  # margin kept over ``tol``; agreement of merge and edge lengths; key grid
 _SAME = 1e-6  # vertex distance under which two optima are the same tree
@@ -140,53 +154,62 @@ def _reconstruct(
     n = len(points)
     final: dict[int, complex] = {}
     for s, a, b, third in reversed(plan):
-        X = final[third] if third >= n else points[third]
-        E = pseudo[s]
-        p1 = pseudo[a] if a >= n else points[a]
-        p2 = pseudo[b] if b >= n else points[b]
-        center = (p1 + p2 + E) / 3.0
-        chord = p2 - p1
-        radius = abs(chord) / SQRT3
-        eps = 1e-12 * radius
-        d = E - X
-        dd = d.real * d.real + d.imag * d.imag
-        if dd <= eps * eps:
+        q = _place(
+            final[third] if third >= n else points[third],
+            pseudo[s],
+            pseudo[a] if a >= n else points[a],
+            pseudo[b] if b >= n else points[b],
+        )
+        if q is None:
             return None
-        f = X - center
-        bq = 2.0 * (f.real * d.real + f.imag * d.imag)
-        cq = f.real * f.real + f.imag * f.imag - radius * radius
-        disc = bq * bq - 4.0 * dd * cq
-        if disc < 0.0:
-            disc = 0.0
-        sq = math.sqrt(disc)
-        # stable quadratic roots; E sits on the circle so one root is ~1
-        if bq >= 0.0:
-            qf = -0.5 * (bq + sq)
-        else:
-            qf = -0.5 * (bq - sq)
-        roots = []
-        if dd != 0.0:
-            roots.append(qf / dd)
-        if qf != 0.0:
-            roots.append(cq / qf)
-        if not roots:
-            return None
-        t = max(roots, key=lambda r: abs(r - 1.0))
-        seg = math.sqrt(dd)
-        if not (t * seg > eps and (1.0 - t) * seg > eps):
-            return None
-        q = X + t * d
-        # q must sit on the arc facing away from E: strictly opposite side of the chord
-        cross_e = chord.real * (E - p1).imag - chord.imag * (E - p1).real
-        cross_q = chord.real * (q - p1).imag - chord.imag * (q - p1).real
-        if cross_e >= 0.0:
-            if cross_q > -eps * abs(chord):
-                return None
-        else:
-            if cross_q < eps * abs(chord):
-                return None
         final[s] = q
     return final
+
+
+def _place(X: complex, E: complex, p1: complex, p2: complex) -> complex | None:
+    """Branching point of the merge of ``p1`` and ``p2`` into ``E`` whose parent is at ``X``.
+
+    It is where the segment from ``X`` to ``E`` meets the circumcircle of
+    ``p1 p2 E`` on the arc facing away from ``E``; None when it misses the open arc.
+    """
+    center = (p1 + p2 + E) / 3.0
+    chord = p2 - p1
+    radius = abs(chord) / SQRT3
+    eps = 1e-12 * radius
+    d = E - X
+    dd = d.real * d.real + d.imag * d.imag
+    if dd <= eps * eps:
+        return None
+    f = X - center
+    bq = 2.0 * (f.real * d.real + f.imag * d.imag)
+    cq = f.real * f.real + f.imag * f.imag - radius * radius
+    disc = bq * bq - 4.0 * dd * cq
+    if disc < 0.0:
+        disc = 0.0
+    sq = math.sqrt(disc)
+    # stable quadratic roots (dd > 0 here); E sits on the circle so one root is ~1,
+    # and t is the other
+    if bq >= 0.0:
+        qf = -0.5 * (bq + sq)
+    else:
+        qf = -0.5 * (bq - sq)
+    t = qf / dd
+    if qf != 0.0 and abs(cq / qf - 1.0) > abs(t - 1.0):
+        t = cq / qf
+    seg = math.sqrt(dd)
+    if not (t * seg > eps and (1.0 - t) * seg > eps):
+        return None
+    q = X + t * d
+    # q must sit on the arc facing away from E: strictly opposite side of the chord
+    cross_e = chord.real * (E - p1).imag - chord.imag * (E - p1).real
+    cross_q = chord.real * (q - p1).imag - chord.imag * (q - p1).real
+    if cross_e >= 0.0:
+        if cross_q > -eps * abs(chord):
+            return None
+    else:
+        if cross_q < eps * abs(chord):
+            return None
+    return q
 
 
 def _scan_topology(
@@ -267,12 +290,20 @@ def minimal_full_tree(terminals) -> EmbeddedTree | None:
 
 
 def _shortest_full_tree(points, topo: Topology | None) -> EmbeddedTree | None:
-    """``topo`` realized, or with None the full-set entry of the component table."""
+    """``topo`` realized, or with None the best full tree on every terminal.
+
+    The latter is the full set's entry of the component table, built alone:
+    the masks below the top are generated for its merges, but no subset's
+    trees are placed.
+    """
     if len(points) == 2:
         return EmbeddedTree.build(points, [TERMINAL, TERMINAL], [(0, 1)])
     unit, back = _normalise(points)
     if topo is None:
-        kept = _full_component_table(unit, _EPS)[(1 << len(unit)) - 1]
+        table: dict[int, list[tuple[float, EmbeddedTree]]] = {}
+        top = (1 << len(unit)) - 2
+        _rooted_full_trees(unit, _memo(unit), top, _EPS, table)
+        kept = table[top | 1]
     else:
         kept = _subset_full_trees(unit, _EPS, (topo,))[1]
     return back(kept[0][1]) if kept else None
@@ -310,34 +341,137 @@ def _subset_full_trees(
 
 _TAU = 2.0 * math.pi
 _ARC = math.pi / 3.0  # the Steiner arc of an equilateral point, seen from it
-_ORIENTATIONS = ((1.0, ROT_LEFT), (-1.0, ROT_RIGHT))  # turn of the arc parameter, rotation
+# turn of the arc parameter, rotation, and the side bit of the packed merge
+_ORIENTATIONS = ((1.0, ROT_LEFT, 0), (-1.0, ROT_RIGHT, 1))
+# a merge packs as big << _BIG | i << _I | j << 1 | side (see ``_Classes``)
+_IDX = 24  # bits of a class index; at nine terminals a held mask has some 5,000 classes
+_LOW = (1 << _IDX) - 1
+_I = _IDX + 1
+_BIG = 2 * _IDX + 1
 
 
-def _points_of(T: int, points: tuple[complex, ...], memo: dict[int, list[tuple]], cap: int):
-    """The equilateral points of mask ``T``: a list held in ``memo``, or above ``cap``
-    terminals a fresh stream."""
-    if T.bit_count() > cap:
-        return _generate(T, points, memo, cap)
-    got = memo.get(T)
-    if got is None:
-        got = memo[T] = list(_generate(T, points, memo, cap))
-    return got
+class _Classes:
+    """The equilateral points of one terminal mask, one per signature class.
 
-
-def _generate(T: int, points: tuple[complex, ...], memo: dict[int, list[tuple]], cap: int):
-    """Yield every feasible equilateral point of a rooted full tree on the terminals of ``T``.
-
-    A point is ``(E, mid, half, left, right)``; a terminal is
-    ``(z, 0.0, inf, index, None)``.  The cone ``mid +- half`` holds the
-    directions from E to the part of its Steiner arc (the circumcircle arc
-    between its children, seen from E under 60 degrees) at which both
-    children can still place their own branching points: the parent of E
-    must lie in it.  Along the arc, parameter phi in [0, pi/3] turns the
-    directions from E, from the left child and from the right child at the
-    same rate, so each child's cone, widened by ``_SLACK`` radians, cuts an
-    interval of phi.  A pair is cut when the two intervals share no phi in
-    [0, pi/3]; only pairs that ``_reconstruct`` would reject are.
+    Every equilateral point is E = sum of omega^k_i * z_i over its terminals,
+    omega = e^(i pi/3) = ``ROT_LEFT``, so rooted trees with equal exponents
+    share one E.  The exponents pack exactly into one int of six n-bit
+    terminal masks, one per power of omega: the class ``key``.  A class
+    holds, column by column, its ``E``, a cone ``mid +- half`` that covers
+    the cone of each of its alternatives, and its key where a larger mask
+    reads it (see ``_classes``).  An alternative is a
+    merge that gives E, packed as ``big << _BIG | i << _I | j << 1 | side``:
+    class i of mask ``big`` and class j of the rest, merged by ``ROT_LEFT``
+    (side 0) or ``ROT_RIGHT`` (side 1).  With ``head`` None a class has one
+    alternative, ``alts[c]``; otherwise ``head[c]`` indexes its newest one in
+    ``alts`` and ``nxt`` links each to the one before, -1 ending the list.
     """
+
+    __slots__ = ("E", "mid", "half", "key", "alts", "head", "nxt")
+
+    def __init__(self, E, mid, half, key, alts, head=None, nxt=None) -> None:
+        self.E: Sequence[complex] = E
+        self.mid: Sequence[float] = mid
+        self.half: Sequence[float] = half
+        self.key: Sequence[int] = key
+        self.alts: Sequence[int] = alts
+        self.head: array | None = head
+        self.nxt: array | None = nxt
+
+    def alternatives(self, c: int) -> Sequence[int]:
+        """The packed merges that give class ``c``."""
+        if self.head is None:
+            return (self.alts[c],)
+        out = []
+        k = self.head[c]
+        while k >= 0:
+            out.append(self.alts[k])
+            k = self.nxt[k]
+        return out
+
+
+def _memo(points: tuple[complex, ...]) -> dict[int, _Classes]:
+    """The class memo of ``points``, holding the terminals other than 0."""
+    return {
+        1 << i: _Classes((points[i],), (0.0,), (math.inf,), (1 << i,), ())
+        for i in range(1, len(points))
+    }
+
+
+def _classes(T: int, points: tuple[complex, ...], memo: dict[int, _Classes]) -> _Classes:
+    """The signature classes of mask ``T``, generated once and held in ``memo``.
+
+    Three terminals cannot repeat a signature, so up to three every merge is
+    a class of its own, kept in tuples.  Larger masks merge their merges by
+    key.  A mask keeps its keys only when such a larger mask reads them: one
+    below the top mask, which holds at most n - 2 terminals.
+    """
+    C = memo.get(T)
+    if C is not None:
+        return C
+    size = T.bit_count()
+    keep = len(points) - 2 > max(size, 3)
+    if size <= 3:
+        rows = list(_merges(T, points, memo, keep))
+        E, mid, half, alts, keys = zip(*rows) if rows else ((),) * 5
+        C = memo[T] = _Classes(E, mid, half, keys if keep else (), alts)
+        return C
+    E, mid, half = [], array("d"), array("d")
+    alts, head, nxt = array("Q"), array("q"), array("q")
+    index: dict[int, int] = {}  # key -> class, in class order
+    for e, m, h, alt, key in _merges(T, points, memo, True):
+        c = index.get(key)
+        if c is None:
+            c = index[key] = len(E)
+            E.append(e)
+            mid.append(m)
+            half.append(h)
+            head.append(-1)
+        else:
+            mid[c], half[c] = _cone_union(mid[c], half[c], m, h)
+        nxt.append(head[c])
+        head[c] = len(alts)
+        alts.append(alt)
+    C = memo[T] = _Classes(E, mid, half, list(index) if keep else (), alts, head, nxt)
+    return C
+
+
+def _cone_union(m1: float, h1: float, m2: float, h2: float) -> tuple[float, float]:
+    """A cone ``mid +- half`` covering the cones ``m1 +- h1`` and ``m2 +- h2``.
+
+    Once ``half + _SLACK`` reaches 2pi/3 it is the full circle (half = inf):
+    a wider cone also meets the arc of ``_merges`` through its image at 2pi,
+    which the interval test there does not see.
+    """
+    d = (m2 - m1 + math.pi) % _TAU - math.pi
+    lo = min(-h1, d - h2)
+    hi = max(h1, d + h2)
+    half = 0.5 * (hi - lo)
+    if half + _SLACK >= 2.0 * _ARC:
+        return 0.0, math.inf
+    return m1 + 0.5 * (hi + lo), half
+
+
+def _merges(T: int, points: tuple[complex, ...], memo: dict[int, _Classes], keyed: bool):
+    """Yield every feasible merge of two child classes into an equilateral point on ``T``.
+
+    A merge is ``(E, mid, half, alt, key)``, ``alt`` packed as in
+    ``_Classes`` and ``key`` its signature key, or None unless ``keyed``.
+    E = e1 + (e2 - e1) * rotation multiplies e1 by omega^5 and e2 by omega
+    for ``ROT_LEFT``, the other way round for ``ROT_RIGHT``, and multiplying
+    by omega^p rotates a key's six n-bit blocks by p.
+    The cone ``mid +- half`` holds the directions from E to the part of its
+    Steiner arc (the circumcircle arc between its children, seen from E under
+    60 degrees) at which both children can still place their own branching
+    points: the parent of E must lie in it.  Along the arc, parameter phi in
+    [0, pi/3] turns the directions from E, from the left child and from the
+    right child at the same rate, so each child's cone, widened by
+    ``_SLACK`` radians, cuts an interval of phi.  A pair is cut when the two
+    intervals share no phi in [0, pi/3]; only pairs that ``_place`` would
+    reject are.
+    """
+    n = len(points)
+    full = (1 << 6 * n) - 1
     low = T & -T
     rest = T ^ low
     A = rest
@@ -345,16 +479,26 @@ def _generate(T: int, points: tuple[complex, ...], memo: dict[int, list[tuple]],
         A = (A - 1) & rest
         T1, T2 = low | A, rest ^ A
         small, big = (T1, T2) if T1.bit_count() <= T2.bit_count() else (T2, T1)
-        smalls = _points_of(small, points, memo, cap)
+        sc = _classes(small, points, memo)
+        smalls = [
+            (j << 1, e, m, h + _SLACK) for j, (e, m, h) in enumerate(zip(sc.E, sc.mid, sc.half))
+        ]
         if not smalls:
             continue
-        for p in _points_of(big, points, memo, cap):
-            e1, m1, h1 = p[0], p[1], p[2] + _SLACK
-            for q in smalls:
-                e2, m2, h2 = q[0], q[1], q[2] + _SLACK
+        if keyed:  # the keys of the small classes times omega and omega^5
+            turned = [((k << n | k >> 5 * n) & full, (k << 5 * n | k >> n) & full) for k in sc.key]
+        bc = _classes(big, points, memo)
+        key = None
+        for i, (e1, m1, h1) in enumerate(zip(bc.E, bc.mid, bc.half)):
+            h1 += _SLACK
+            bi = big << _BIG | i << _I
+            if keyed:
+                kb = bc.key[i]
+                b1, b5 = (kb << n | kb >> 5 * n) & full, (kb << 5 * n | kb >> n) & full
+            for j, e2, m2, h2 in smalls:
                 d = e2 - e1
                 v = cmath.phase(d)
-                for sigma, rot in _ORIENTATIONS:
+                for sigma, rot, side in _ORIENTATIONS:
                     # at phi = 0 the arc leaves e1 along v - sigma*pi/3 and is seen
                     # from e2 along v + pi
                     f1 = sigma * ((m1 - v + sigma * _ARC + math.pi) % _TAU - math.pi)
@@ -366,26 +510,63 @@ def _generate(T: int, points: tuple[complex, ...], memo: dict[int, list[tuple]],
                     if hi > _ARC:
                         hi = _ARC
                     if lo <= hi:
+                        if keyed:
+                            s1, s5 = turned[j >> 1]
+                            key = b1 | s5 if side else b5 | s1
                         # from E the arc starts towards e1, along v - sigma*2pi/3
                         mid = v - sigma * 2.0 * _ARC + sigma * 0.5 * (lo + hi)
-                        yield (e1 + d * rot, mid, 0.5 * (hi - lo), p, q)
+                        yield e1 + d * rot, mid, 0.5 * (hi - lo), bi | j | side, key
 
 
-def _flatten(
-    node: tuple, local: dict[int, int], pseudo: list[complex], plan: list, third: int
-) -> int:
-    """Label of ``node`` in a merge plan whose merges it appends, children first.
+def _realise(
+    T: int, alts: Sequence[int], E: complex, X: complex, memo: dict[int, _Classes]
+) -> list:
+    """Every placement of the rooted full trees behind the point ``E`` of mask ``T``.
+
+    ``alts`` are the merges that give E and ``X`` is the parent of its
+    branching point.  An alternative whose branching point misses its arc is
+    dropped with its whole subtree.  A placed tree is ``(position, left,
+    right)``, a terminal its index.
+    """
+    out = []
+    for alt in alts:
+        big = alt >> _BIG
+        small = T ^ big
+        bc, sc = memo[big], memo[small]
+        i, j = alt >> _I & _LOW, alt >> 1 & _LOW
+        s = _place(X, E, bc.E[i], sc.E[j])
+        if s is None:
+            continue
+        if big & (big - 1):
+            lefts = _realise(big, bc.alternatives(i), bc.E[i], s, memo)
+            if not lefts:
+                continue
+        else:
+            lefts = (big.bit_length() - 1,)
+        if small & (small - 1):
+            rights = _realise(small, sc.alternatives(j), sc.E[j], s, memo)
+        else:
+            rights = (small.bit_length() - 1,)
+        for a in lefts:
+            for b in rights:
+                out.append((s, a, b))
+    return out
+
+
+def _flatten(tree, local: dict[int, int], plan: list, final: dict[int, complex], third: int) -> int:
+    """Label of the placed ``tree`` in a merge plan whose merges it appends, children first.
 
     A terminal is labelled by its local index.  A branching point takes the
-    next label of ``pseudo``, which receives its equilateral point, and joins
-    the plan as ``(label, left, right, third)``, ``third`` being its parent.
+    next label after the terminals and the points in ``final``, which
+    receives its position, and joins the plan as ``(label, left, right,
+    third)``, ``third`` being its parent.
     """
-    if node[4] is None:
-        return local[node[3]]
-    s = len(pseudo)
-    pseudo.append(node[0])
-    a = _flatten(node[3], local, pseudo, plan, s)
-    b = _flatten(node[4], local, pseudo, plan, s)
+    if isinstance(tree, int):
+        return local[tree]
+    s = len(local) + len(final)
+    final[s] = tree[0]
+    a = _flatten(tree[1], local, plan, final, s)
+    b = _flatten(tree[2], local, plan, final, s)
     plan.append((s, a, b, third))
     return s
 
@@ -451,65 +632,78 @@ def solve_exact(terminals, tol: float = 1e-9) -> SteinerSolution:
 def _full_component_table(
     points: tuple[complex, ...], keep: float
 ) -> dict[int, list[tuple[float, EmbeddedTree]]]:
-    """Best full trees (within ``keep``) for every terminal subset mask.
-
-    A subset S is rooted at its lowest terminal r, and its full trees are the
-    equilateral points of T = S minus r seen from r.  The points of each mask
-    T are generated once and read by every subset T + r with r < min(T).  A
-    point is a candidate when r lies in its cone; with merge length
-    L = |r - E| below the running best plus ``keep`` it is reconstructed at
-    once.  Each entry keeps the valid trees within ``keep`` of the shortest
-    valid L, ordered by length.
-    """
+    """Best full trees (within ``keep``) for every terminal subset mask."""
     n = len(points)
     table: dict[int, list[tuple[float, EmbeddedTree]]] = {}
     for i, j in itertools.combinations(range(n), 2):
         seg = EmbeddedTree.build([points[i], points[j]], [TERMINAL, TERMINAL], [(0, 1)])
         table[(1 << i) | (1 << j)] = [(seg.length, seg)]
-
-    memo: dict[int, list[tuple]] = {
-        1 << i: [(points[i], 0.0, math.inf, i, None)] for i in range(1, n)
-    }
-    cap = max(n - 4, (n - 1) // 2)  # larger masks are streamed, not held
+    memo = _memo(points)
     for T in range(6, 1 << n, 2):
-        if T.bit_count() < 2:
-            continue
-        members = [i for i in range(n) if T >> i & 1]
-        subsets = []
-        for r in range(members[0]):
-            idxs = [r, *members]
-            local = {i: k for k, i in enumerate(idxs)}
-            subsets.append((T | 1 << r, tuple(points[i] for i in idxs), local, []))
-        best = [math.inf] * len(subsets)
-        for node in _points_of(T, points, memo, cap):
-            E, mid, half = node[0], node[1], node[2]
-            for k, (_S, pts, local, found) in enumerate(subsets):
-                x = pts[0] - E
-                L = abs(x)
-                if L >= best[k] + keep:
-                    continue
-                if abs((cmath.phase(x) - mid + math.pi) % _TAU - math.pi) > half + _SLACK:
-                    continue  # the root is outside the cone
-                pseudo = list(pts)
-                plan: list[tuple[int, int, int, int]] = []
-                top = _flatten(node, local, pseudo, plan, 0)
-                final = _reconstruct(pts, pseudo, plan, 0, top)
-                if final is not None:
-                    found.append((L, plan, final))
-                    best[k] = min(best[k], L)
-        for k, (S, pts, _local, found) in enumerate(subsets):
-            entries = []
-            for L, plan, final in sorted(
-                (c for c in found if c[0] <= best[k] + keep), key=lambda c: c[0]
-            ):
-                edges = [(t, s) for s, _a, _b, t in plan]  # every merge to its parent
-                edges += [(c, s) for s, a, b, _t in plan for c in (a, b) if c < len(pts)]
-                topo = Topology(len(pts), len(plan), tuple(sorted(edges)))
-                tree = _tree_from_candidate(pts, topo, final)
-                if tree is not None and abs(tree.length - L) <= _SLACK:
-                    entries.append((L, tree))
-            table[S] = entries
+        if T.bit_count() >= 2:
+            _rooted_full_trees(points, memo, T, keep, table)
     return table
+
+
+def _rooted_full_trees(
+    points: tuple[complex, ...],
+    memo: dict[int, _Classes],
+    T: int,
+    keep: float,
+    table: dict[int, list[tuple[float, EmbeddedTree]]],
+) -> None:
+    """Enter in ``table`` the best full trees (within ``keep``) of every subset T + r, r < min(T).
+
+    A subset is rooted at its lowest terminal r, and its full trees are the
+    equilateral points of T seen from r.  Below the top mask (every terminal
+    but 0, read by r = 0 only) these are the signature classes of T, shared by
+    every r; the top mask is streamed merge by merge and not held.  A point is
+    a candidate when r lies in its cone; with merge length L = |r - E| below
+    the running best plus ``keep`` its trees are placed at once.  Each entry
+    keeps the valid trees within ``keep`` of the shortest valid L, ordered by
+    length.
+    """
+    n = len(points)
+    members = [i for i in range(n) if T >> i & 1]
+    subsets = []
+    for r in range(members[0]):
+        idxs = [r, *members]
+        local = {i: k for k, i in enumerate(idxs)}
+        subsets.append((T | 1 << r, tuple(points[i] for i in idxs), local, []))
+    best = [math.inf] * len(subsets)
+    if T == (1 << n) - 2:
+        C = None
+        cands = _merges(T, points, memo, False)
+    else:
+        C = _classes(T, points, memo)
+        cands = zip(C.E, C.mid, C.half, range(len(C.E)), itertools.repeat(None))
+    for E, mid, half, ref, _key in cands:
+        for k, (_S, pts, local, found) in enumerate(subsets):
+            x = pts[0] - E
+            L = abs(x)
+            if L >= best[k] + keep:
+                continue
+            if abs((cmath.phase(x) - mid + math.pi) % _TAU - math.pi) > half + _SLACK:
+                continue  # the root is outside the cone
+            alts = (ref,) if C is None else C.alternatives(ref)
+            for tree in _realise(T, alts, E, pts[0], memo):
+                plan: list[tuple[int, int, int, int]] = []
+                final: dict[int, complex] = {}
+                _flatten(tree, local, plan, final, 0)
+                found.append((L, plan, final))
+                best[k] = min(best[k], L)
+    for k, (S, pts, _local, found) in enumerate(subsets):
+        entries = []
+        for L, plan, final in sorted(
+            (c for c in found if c[0] <= best[k] + keep), key=lambda c: c[0]
+        ):
+            edges = [(t, s) for s, _a, _b, t in plan]  # every merge to its parent
+            edges += [(c, s) for s, a, b, _t in plan for c in (a, b) if c < len(pts)]
+            topo = Topology(len(pts), len(plan), tuple(sorted(edges)))
+            tree = _tree_from_candidate(pts, topo, final)
+            if tree is not None and abs(tree.length - L) <= _SLACK:
+                entries.append((L, tree))
+        table[S] = entries
 
 
 def _gluings(

@@ -74,6 +74,8 @@ def test_angle_at_examples():
     assert abs(angle_at(0, 1, -1) - math.pi) < 1e-15
     third = cmath.exp(2j * math.pi / 3)
     assert abs(angle_at(0, 1, third) - 2 * math.pi / 3) < 1e-15
+    # rays 1e-157 long: their raw dot and cross products would be subnormal
+    assert abs(angle_at(0, 1e-157, 1e-157 * third) - 2 * math.pi / 3) < 1e-15
     with pytest.raises(DegenerateInputError):
         angle_at(0, 0, 1)
 

@@ -199,6 +199,16 @@ def test_a0_maxwell_agreement_at_depth_30():
     assert resid <= 1e-12
 
 
+@pytest.mark.parametrize("K", [519, 1000])
+def test_a0_deep_trees_pass_the_angle_and_maxwell_checks(K):
+    # the deepest edges are about 1e-157 (K = 519) and 1e-300 (K = 1000) long
+    tree = build_ladder_tree_A0(LadderParams(ALPHA, LAM, K), "upper")
+    assert classify(tree) == "full"
+    real, resid = maxwell_length(tree)
+    assert abs(real - tree.length) <= 1e-12 * tree.length
+    assert resid <= 1e-12 * tree.length
+
+
 def test_a1_tree_blocks_and_lengths():
     params = LadderParams(ALPHA, LAM, 5)
     tree = build_ladder_tree_A1(params, "00")

@@ -10,8 +10,14 @@ from steiner_ladder.analysis import local_min_gradient, maxwell_length, trees_mi
 from steiner_ladder.errors import DegenerateInputError, ParameterError
 from steiner_ladder.ladder import LadderParams, build_input
 from steiner_ladder.solver import (
+    _BIG,
+    _I,
+    _LOW,
     _SLACK,
+    _classes,
+    _cone_union,
     _full_component_table,
+    _memo,
     _normalise,
     _subset_full_trees,
     minimal_full_tree,
@@ -249,6 +255,86 @@ def test_component_table_matches_per_topology_scan(make, rng):
             want = [L for L, _t in kept]
             assert len(got) == len(want), f"mask {mask:0{n}b}: {got} vs {want}"
             assert all(abs(a - b) <= 1e-12 for a, b in zip(got, want)), f"mask {mask:0{n}b}"
+
+
+def _signature(memo, T, alt, cache):
+    """Power of omega = e^(i pi/3) of each terminal in the packed merge ``alt`` on ``T``.
+
+    E = e1 + (e2 - e1) * rotation: ``ROT_LEFT`` (side 0) gives the first
+    child's terminals omega^5 = 1 - omega and the second's omega, ``ROT_RIGHT``
+    the other way round.
+    """
+    big, i, j, side = alt >> _BIG, alt >> _I & _LOW, alt >> 1 & _LOW, alt & 1
+    out = {}
+    for mask, c, turn in ((big, i, 1 if side else 5), (T ^ big, j, 5 if side else 1)):
+        if mask & (mask - 1) == 0:
+            sub = {mask.bit_length() - 1: 0}
+        else:
+            if (mask, c) not in cache:
+                cache[mask, c] = _signature(memo, mask, memo[mask].alternatives(c)[0], cache)
+            sub = cache[mask, c]
+        out.update({t: (p + turn) % 6 for t, p in sub.items()})
+    return out
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda rng: _ladder(4, 4), id="ladder-A4B4"),
+        pytest.param(lambda rng: _random_points(rng, 8), id="random-8"),
+    ],
+)
+def test_signature_classes_decode_to_their_points(make, rng):
+    # every class below the top mask is one equilateral point E = sum omega^k_i z_i:
+    # each of its merges has the same exponents k_i, they sum to E, its key packs
+    # them (block k_i holds terminal i) and no two classes of a mask share them
+    pts, _back = _normalise(tuple(complex(z) for z in make(rng)))
+    n = len(pts)
+    memo = _memo(pts)
+    for T in range(6, (1 << n) - 2, 2):
+        if T.bit_count() >= 2:
+            _classes(T, pts, memo)
+    assert len(memo) == 2 ** (n - 1) - 2  # every nonempty mask of terminals 1..n-1 but the top
+    cache = {}
+    for T, C in memo.items():
+        if T.bit_count() == 1:
+            continue
+        keys = set()
+        for c, E in enumerate(C.E):
+            sigs = [_signature(memo, T, alt, cache) for alt in C.alternatives(c)]
+            assert all(sig == sigs[0] for sig in sigs), f"mask {T:0{n}b} class {c}"
+            assert sorted(sigs[0]) == [i for i in range(n) if T >> i & 1]
+            key = sum(1 << (k * n + i) for i, k in sigs[0].items())
+            if C.key:
+                assert C.key[c] == key
+            total = sum(cmath.exp(1j * math.pi * k / 3) * pts[i] for i, k in sigs[0].items())
+            assert abs(total - E) <= 1e-12, f"mask {T:0{n}b} class {c}"
+            keys.add(key)
+        assert len(keys) == len(C.E), f"mask {T:0{n}b}"
+
+
+def _in_cone(direction, mid, half):
+    return abs((direction - mid + math.pi) % (2 * math.pi) - math.pi) <= half + 1e-12
+
+
+def test_cone_union_covers_both_cones(rng):
+    # two cones straddling the +-pi seam: their union is the narrow cone about pi
+    mid, half = _cone_union(math.pi - 0.1, 0.05, -math.pi + 0.1, 0.05)
+    assert half == pytest.approx(0.15, abs=1e-12)
+    assert _in_cone(mid, math.pi, 1e-12)
+    assert not _in_cone(0.0, mid, half)
+    for _ in range(200):
+        cones = [(rng.uniform(-4, 4), rng.uniform(0, math.pi / 6)) for _ in range(2)]
+        mid, half = _cone_union(*cones[0], *cones[1])
+        for m, h in cones:
+            for t in (-1.0, -0.5, 0.0, 0.5, 1.0):
+                assert _in_cone(m + t * h, mid, half)
+    # at a half-width of 2pi/3 the cone becomes the full circle: the phi-interval
+    # test of the generator would miss its image at 2pi
+    assert _cone_union(0.0, 1.0, 2.0, 1.0) == (pytest.approx(1.0), pytest.approx(2.0))
+    assert _cone_union(0.0, 1.0, 2.2, 1.0)[1] == math.inf
+    assert _cone_union(0.0, 1.0, 4 * math.pi / 3 - 2.0, 1.0)[1] == math.inf  # half 2pi/3
+    assert _cone_union(0.3, math.inf, 1.0, 0.1)[1] == math.inf
 
 
 def test_minimal_full_tree_matches_every_topology(rng):
