@@ -111,6 +111,9 @@ def _dispatch(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if not args.tol >= 0:
+        print(f"error: --tol must be zero or more, got {args.tol!r}", file=sys.stderr)
+        return EXIT_PARSE
     ts = ser.instance_from_json(_read(args.instance))
     if ts.segment is not None:
         print("error: instances with a continuum segment cannot be solved", file=sys.stderr)

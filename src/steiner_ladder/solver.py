@@ -34,7 +34,11 @@ depth-first search over the orientation words (``_scan_topology``).
 
 ``solve_exact`` then glues full components at shared terminals (blocks
 pairwise share at most one terminal and the block graph is a tree), which
-covers every possible Steiner minimal tree structure.
+covers every possible Steiner minimal tree structure.  It also bounds each
+subset's full trees by the subset's minimum spanning length (the MST test of
+GeoSteiner): a structure holding a full tree longer than that by more than
+the tolerance can swap it for the MST, so it is not within the tolerance of
+the optimum, and no such tree is placed (``_rooted_full_trees``).
 """
 
 from __future__ import annotations
@@ -341,8 +345,6 @@ def _subset_full_trees(
 
 _TAU = 2.0 * math.pi
 _ARC = math.pi / 3.0  # the Steiner arc of an equilateral point, seen from it
-# turn of the arc parameter, rotation, and the side bit of the packed merge
-_ORIENTATIONS = ((1.0, ROT_LEFT, 0), (-1.0, ROT_RIGHT, 1))
 # a merge packs as big << _BIG | i << _I | j << 1 | side (see ``_Classes``)
 _IDX = 24  # bits of a class index; at nine terminals a held mask has some 5,000 classes
 _LOW = (1 << _IDX) - 1
@@ -472,6 +474,8 @@ def _merges(T: int, points: tuple[complex, ...], memo: dict[int, _Classes], keye
     """
     n = len(points)
     full = (1 << 6 * n) - 1
+    pi, tau, arc, turn, phase = math.pi, _TAU, _ARC, 2.0 * _ARC, cmath.phase
+    left, right = ROT_LEFT, ROT_RIGHT
     low = T & -T
     rest = T ^ low
     A = rest
@@ -495,27 +499,39 @@ def _merges(T: int, points: tuple[complex, ...], memo: dict[int, _Classes], keye
             if keyed:
                 kb = bc.key[i]
                 b1, b5 = (kb << n | kb >> 5 * n) & full, (kb << 5 * n | kb >> n) & full
+            # With sigma = 1 for ROT_LEFT and -1 for ROT_RIGHT, at phi = 0 the arc
+            # leaves e1 along v - sigma*pi/3 and is seen from e2 along v + pi: the
+            # children's cones sit at f1 = sigma*((m1 + sigma*pi/3 + pi - v) mod 2pi - pi)
+            # and f2 = sigma*((m2 - v) mod 2pi - pi) along the arc.
+            a_left, a_right = m1 + arc + pi, m1 - arc + pi
             for j, e2, m2, h2 in smalls:
                 d = e2 - e1
-                v = cmath.phase(d)
-                for sigma, rot, side in _ORIENTATIONS:
-                    # at phi = 0 the arc leaves e1 along v - sigma*pi/3 and is seen
-                    # from e2 along v + pi
-                    f1 = sigma * ((m1 - v + sigma * _ARC + math.pi) % _TAU - math.pi)
-                    f2 = sigma * ((m2 - v) % _TAU - math.pi)
-                    lo = f1 - h1 if f1 - h1 > f2 - h2 else f2 - h2
-                    hi = f1 + h1 if f1 + h1 < f2 + h2 else f2 + h2
-                    if lo < 0.0:
-                        lo = 0.0
-                    if hi > _ARC:
-                        hi = _ARC
-                    if lo <= hi:
-                        if keyed:
-                            s1, s5 = turned[j >> 1]
-                            key = b1 | s5 if side else b5 | s1
-                        # from E the arc starts towards e1, along v - sigma*2pi/3
-                        mid = v - sigma * 2.0 * _ARC + sigma * 0.5 * (lo + hi)
-                        yield e1 + d * rot, mid, 0.5 * (hi - lo), bi | j | side, key
+                v = phase(d)
+                f2 = (m2 - v) % tau - pi
+                f1 = (a_left - v) % tau - pi
+                lo = f1 - h1 if f1 - h1 > f2 - h2 else f2 - h2
+                hi = f1 + h1 if f1 + h1 < f2 + h2 else f2 + h2
+                if lo < 0.0:
+                    lo = 0.0
+                if hi > arc:
+                    hi = arc
+                if lo <= hi:
+                    if keyed:
+                        key = b5 | turned[j >> 1][0]
+                    # from E the arc starts towards e1, along v - sigma*2pi/3
+                    yield e1 + d * left, v - turn + 0.5 * (lo + hi), 0.5 * (hi - lo), bi | j, key
+                f2 = -f2
+                f1 = pi - (a_right - v) % tau
+                lo = f1 - h1 if f1 - h1 > f2 - h2 else f2 - h2
+                hi = f1 + h1 if f1 + h1 < f2 + h2 else f2 + h2
+                if lo < 0.0:
+                    lo = 0.0
+                if hi > arc:
+                    hi = arc
+                if lo <= hi:
+                    if keyed:
+                        key = b1 | turned[j >> 1][1]
+                    yield e1 + d * right, v + turn - 0.5 * (lo + hi), 0.5 * (hi - lo), bi | j | 1, key
 
 
 def _realise(
@@ -583,8 +599,11 @@ def solve_exact(terminals, tol: float = 1e-9) -> SteinerSolution:
     ``co_optima`` lists all geometrically distinct optima within ``tol`` of
     the best length, canonically ordered; ``best`` is the shortest of them.
     ``tol`` is in units of the terminal span (the largest distance between
-    two terminals), so similar inputs give similar answers.
+    two terminals), so similar inputs give similar answers; it must be
+    zero or more, and ``inf`` keeps every structure.
     """
+    if not tol >= 0:
+        raise ParameterError(f"tol must be zero or more, got {tol!r}")
     terminals = as_points(terminals)
     n = len(terminals)
     if not 2 <= n <= MAX_TERMINALS:
@@ -596,7 +615,7 @@ def solve_exact(terminals, tol: float = 1e-9) -> SteinerSolution:
                 raise DegenerateInputError(f"terminals {i} and {j} coincide")
 
     keep = tol + _SLACK
-    table = _full_component_table(points, keep)
+    table = _full_component_table(points, keep, bounded=True)
 
     weight = {mask: entries[0][0] for mask, entries in table.items() if entries}
     min_total, g = _hypertree_dp(n, weight)
@@ -630,9 +649,14 @@ def solve_exact(terminals, tol: float = 1e-9) -> SteinerSolution:
 
 
 def _full_component_table(
-    points: tuple[complex, ...], keep: float
+    points: tuple[complex, ...], keep: float, bounded: bool = False
 ) -> dict[int, list[tuple[float, EmbeddedTree]]]:
-    """Best full trees (within ``keep``) for every terminal subset mask."""
+    """Best full trees (within ``keep``) for every terminal subset mask.
+
+    With ``bounded`` a subset of three or more terminals drops every tree
+    at least ``keep`` longer than its minimum spanning length (see
+    ``_rooted_full_trees``); the segments of two terminals are always kept.
+    """
     n = len(points)
     table: dict[int, list[tuple[float, EmbeddedTree]]] = {}
     for i, j in itertools.combinations(range(n), 2):
@@ -641,7 +665,7 @@ def _full_component_table(
     memo = _memo(points)
     for T in range(6, 1 << n, 2):
         if T.bit_count() >= 2:
-            _rooted_full_trees(points, memo, T, keep, table)
+            _rooted_full_trees(points, memo, T, keep, table, bounded)
     return table
 
 
@@ -651,6 +675,7 @@ def _rooted_full_trees(
     T: int,
     keep: float,
     table: dict[int, list[tuple[float, EmbeddedTree]]],
+    bounded: bool = False,
 ) -> None:
     """Enter in ``table`` the best full trees (within ``keep``) of every subset T + r, r < min(T).
 
@@ -662,6 +687,13 @@ def _rooted_full_trees(
     the running best plus ``keep`` its trees are placed at once.  Each entry
     keeps the valid trees within ``keep`` of the shortest valid L, ordered by
     length.
+
+    With ``bounded`` the running best of a subset S starts at MST(S), its
+    minimum spanning length, instead of infinity, so a tree with L >= MST(S)
+    + ``keep`` is never placed.  No such tree is a block of a structure
+    within ``tol`` = ``keep`` - ``_SLACK`` of the optimum: replacing it by
+    the MST of its terminals leaves a connected network more than ``keep``
+    shorter, and no connected network is shorter than the optimum.
     """
     n = len(points)
     members = [i for i in range(n) if T >> i & 1]
@@ -670,7 +702,9 @@ def _rooted_full_trees(
         idxs = [r, *members]
         local = {i: k for k, i in enumerate(idxs)}
         subsets.append((T | 1 << r, tuple(points[i] for i in idxs), local, []))
-    best = [math.inf] * len(subsets)
+    # three terminals have no full tree longer than their MST: the Fermat tree is shortest
+    bounded = bounded and len(members) > 2
+    best = [_prim(pts)[0] if bounded else math.inf for _S, pts, _local, _found in subsets]
     if T == (1 << n) - 2:
         C = None
         cands = _merges(T, points, memo, False)
@@ -854,29 +888,43 @@ def _canonical_key(tree: EmbeddedTree):
 # spanning-tree utilities
 
 
+def _prim(points: Sequence[complex]) -> tuple[float, list[tuple[int, int]]]:
+    """Length and edges ``(parent, child)`` of a Euclidean minimum spanning tree (Prim).
+
+    Ties go to the lower index, and the edges come in the order their
+    children join the tree.
+    """
+    n = len(points)
+    dist = [math.inf] * n
+    link = [0] * n
+    todo = list(range(1, n))
+    total = 0.0
+    edges: list[tuple[int, int]] = []
+    u = 0
+    while todo:
+        pu = points[u]
+        nearest = todo[0]
+        for v in todo:
+            d = abs(pu - points[v])
+            if d < dist[v]:
+                dist[v] = d
+                link[v] = u
+            if dist[v] < dist[nearest]:
+                nearest = v
+        todo.remove(nearest)
+        total += dist[nearest]
+        edges.append((link[nearest], nearest))
+        u = nearest
+    return total, edges
+
+
 def minimum_spanning_tree(terminals) -> EmbeddedTree:
     """Euclidean minimum spanning tree on the complete terminal graph (Prim)."""
     points = as_points(terminals)
     n = len(points)
     if n < 2:
         raise ParameterError("minimum_spanning_tree requires n >= 2")
-    in_tree = [False] * n
-    dist = [math.inf] * n
-    link = [-1] * n
-    dist[0] = 0.0
-    edges: list[tuple[int, int]] = []
-    for _ in range(n):
-        u = min((i for i in range(n) if not in_tree[i]), key=lambda i: dist[i])
-        in_tree[u] = True
-        if link[u] >= 0:
-            edges.append((link[u], u))
-        for v in range(n):
-            if not in_tree[v]:
-                d = abs(points[u] - points[v])
-                if d < dist[v]:
-                    dist[v] = d
-                    link[v] = u
-    return EmbeddedTree.build(points, [TERMINAL] * n, edges)
+    return EmbeddedTree.build(points, [TERMINAL] * n, _prim(points)[1])
 
 
 def steiner_ratio(terminals, tol: float = 1e-9) -> float:

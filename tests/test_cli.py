@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +87,17 @@ def test_solve_rejects_oversized(tmp_path, capsys):
     inst.write_text(instance_to_json(ts))
     code, _ = run(capsys, "solve", str(inst), "--out", str(tmp_path / "t.json"))
     assert code == 3
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "-1e-12"])
+def test_solve_rejects_bad_tol(tmp_path, capsys, tol):
+    out = tmp_path / "t.json"
+    code = main(["solve", fixture("square.json"), "--out", str(out), f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+    assert not out.exists()
 
 
 def test_solve_bad_file_exits_2(tmp_path, capsys):
@@ -248,7 +260,7 @@ def test_render_failure_leaves_no_partial_file(tmp_path, capsys):
 
 
 def test_instance_round_trip_bit_exact():
-    text = open(fixture("a5.json")).read()
+    text = Path(fixture("a5.json")).read_text()
     ts = instance_from_json(text)
     again = instance_from_json(instance_to_json(ts))
     assert all(complex(p) == complex(q) for p, q in zip(ts.points, again.points))
@@ -256,7 +268,7 @@ def test_instance_round_trip_bit_exact():
 
 
 def test_family_descriptor_regenerates_and_validates(tmp_path):
-    text = open(fixture("a0_family.json")).read()
+    text = Path(fixture("a0_family.json")).read_text()
     ts = instance_from_json(text)
     assert ts.segment == ("A0", "B0")
     doc = json.loads(text)

@@ -19,6 +19,7 @@ from steiner_ladder.solver import (
     _full_component_table,
     _memo,
     _normalise,
+    _prim,
     _subset_full_trees,
     minimal_full_tree,
     minimum_spanning_tree,
@@ -136,6 +137,15 @@ def test_solve_rejects_bad_sizes_and_duplicates():
         minimal_full_tree([complex(k, k % 3) for k in range(10)])
 
 
+def test_solve_validates_tol():
+    for tol in (-1e-12, -math.inf, math.nan):
+        with pytest.raises(ParameterError, match="tol"):
+            solve_exact(SQUARE, tol=tol)
+    # an infinite tolerance keeps every structure that embeds without crossings
+    assert len(solve_exact(SQUARE, tol=math.inf).co_optima) == 7
+    assert len(solve_exact(SQUARE, tol=0.0).co_optima) == 2
+
+
 @st.composite
 def _terminals_and_order(draw):
     n = draw(st.integers(min_value=3, max_value=6))
@@ -220,25 +230,25 @@ def _random_points(rng, n):
     return [complex(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(n)]
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        *(
-            pytest.param(lambda rng, n=n: _random_points(rng, n), id=f"random-{n}")
-            for n in (4, 5, 6, 7)
-        ),
-        pytest.param(lambda rng: _ladder(4, 3), id="ladder-A4B3"),
-        pytest.param(lambda rng: _ladder(3, 4), id="ladder-A3B4"),
-        pytest.param(lambda rng: _ladder(4, 4), id="ladder-A4B4"),
-        # the regular heptagon has many equal-length full trees
-        pytest.param(
-            lambda rng: [cmath.exp(2j * math.pi * k / 7) for k in range(7)], id="heptagon"
-        ),
-        pytest.param(lambda rng: [complex(x, y) for x in range(3) for y in range(2)], id="lattice"),
-        pytest.param(lambda rng: [0, 1, 3], id="collinear"),
-        pytest.param(lambda rng: [0, 1e-4, 1 + 1j, 0.5 - 0.7j, 1.2 + 0.1j], id="close-pair"),
-    ],
-)
+# the oracle's inputs: random sets, the ladders, and sets with many equal or
+# degenerate full trees
+ORACLE_SETS = [
+    *(
+        pytest.param(lambda rng, n=n: _random_points(rng, n), id=f"random-{n}")
+        for n in (4, 5, 6, 7)
+    ),
+    pytest.param(lambda rng: _ladder(4, 3), id="ladder-A4B3"),
+    pytest.param(lambda rng: _ladder(3, 4), id="ladder-A3B4"),
+    pytest.param(lambda rng: _ladder(4, 4), id="ladder-A4B4"),
+    # the regular heptagon has many equal-length full trees
+    pytest.param(lambda rng: [cmath.exp(2j * math.pi * k / 7) for k in range(7)], id="heptagon"),
+    pytest.param(lambda rng: [complex(x, y) for x in range(3) for y in range(2)], id="lattice"),
+    pytest.param(lambda rng: [0, 1, 3], id="collinear"),
+    pytest.param(lambda rng: [0, 1e-4, 1 + 1j, 0.5 - 0.7j, 1.2 + 0.1j], id="close-pair"),
+]
+
+
+@pytest.mark.parametrize("make", ORACLE_SETS)
 def test_component_table_matches_per_topology_scan(make, rng):
     # the shared equilateral points with cone cuts keep, mask for mask, what
     # scanning every topology and orientation word keeps
@@ -255,6 +265,25 @@ def test_component_table_matches_per_topology_scan(make, rng):
             want = [L for L, _t in kept]
             assert len(got) == len(want), f"mask {mask:0{n}b}: {got} vs {want}"
             assert all(abs(a - b) <= 1e-12 for a, b in zip(got, want)), f"mask {mask:0{n}b}"
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+@pytest.mark.parametrize("make", ORACLE_SETS)
+def test_mst_bound_drops_only_trees_longer_than_the_subset_mst(make, tol, rng):
+    # solve_exact's table keeps, mask for mask, the unbounded table's trees no
+    # longer than the subset's minimum spanning length plus keep
+    pts, _back = _normalise(tuple(complex(z) for z in make(rng)))
+    n = len(pts)
+    keep = tol + _SLACK
+    free = _full_component_table(pts, keep)
+    bounded = _full_component_table(pts, keep, bounded=True)
+    assert sorted(bounded) == sorted(free)
+    for mask, entries in free.items():
+        mst = minimum_spanning_tree([pts[i] for i in range(n) if mask >> i & 1]).length
+        want = [L for L, _t in entries if L <= mst + keep]
+        got = [L for L, _t in bounded[mask]]
+        assert len(got) == len(want), f"mask {mask:0{n}b}: {got} vs {want}"
+        assert all(abs(a - b) <= 1e-12 for a, b in zip(got, want)), f"mask {mask:0{n}b}"
 
 
 def _signature(memo, T, alt, cache):
@@ -374,6 +403,15 @@ def test_mst_matches_brute_force(rng):
         assert minimum_spanning_tree(pts).length == pytest.approx(
             brute_mst_length(pts), abs=1e-12
         )
+
+
+def test_prim_matches_brute_force(rng):
+    for n in range(2, 8):
+        for _ in range(2):
+            pts = _random_points(rng, n)
+            total, edges = _prim(pts)
+            assert len(edges) == n - 1
+            assert total == pytest.approx(brute_mst_length(pts), abs=1e-12)
 
 
 def test_steiner_ratio_examples():
