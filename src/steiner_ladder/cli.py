@@ -39,7 +39,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact Steiner tree of an instance file")
     p.add_argument("instance")
     p.add_argument("--tol", type=float, default=1e-9, help="tolerance, in terminal spans")
-    p.add_argument("--workers", type=int, help="deprecated; ignored (the solver runs serially)")
     p.add_argument("--out", required=True, help="tree JSON output path")
     p.add_argument("--render", help="also write an SVG figure here")
 
@@ -121,8 +120,6 @@ def _cmd_solve(args) -> int:
     if not 2 <= len(ts) <= MAX_TERMINALS:
         print(f"error: solve handles 2..{MAX_TERMINALS} terminals, got {len(ts)}", file=sys.stderr)
         return EXIT_SIZE
-    if args.workers is not None:
-        print("warning: --workers is deprecated and has no effect", file=sys.stderr)
     t0 = time.perf_counter()
     sol = solve_exact(ts, tol=args.tol)
     dt = time.perf_counter() - t0

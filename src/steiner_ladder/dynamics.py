@@ -82,11 +82,13 @@ def _unit_corners(alpha: float, frame: HexFrame) -> tuple[complex, complex, comp
 
 
 def _hex_uv(z: complex, frame: HexFrame) -> tuple[float, float]:
+    """Hexagonal coordinates ``(u, v)`` of ``z``: z = u*e1 + v*e2 - v*e3."""
     w = z * frame.e1.conjugate()
     return w.real, w.imag / SQRT3
 
 
 def _from_uv(u: float, v: float, frame: HexFrame) -> complex:
+    """The point u*e1 + v*e2 - v*e3, inverse of ``_hex_uv``."""
     return frame.e1 * complex(u, SQRT3 * v)
 
 

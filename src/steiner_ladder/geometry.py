@@ -124,7 +124,6 @@ class HexFrame:
     e1: complex
     e2: complex
     e3: complex
-    origin: complex = 0j
 
     def __post_init__(self) -> None:
         for e in (self.e1, self.e2, self.e3):
@@ -137,38 +136,9 @@ class HexFrame:
             raise ParameterError("frame is not counter-clockwise oriented")
 
     @classmethod
-    def from_axis(cls, axis_angle: float = 0.0, origin: complex = 0j) -> "HexFrame":
+    def from_axis(cls, axis_angle: float = 0.0) -> "HexFrame":
         e1 = cmath.exp(1j * axis_angle)
-        return cls(e1, e1 * _OMEGA, e1 * _OMEGA.conjugate(), origin)
-
-
-@dataclass(frozen=True)
-class HexCoord:
-    """Hexagonal (barycentric) coordinates ``u*e1 + v*e2 + w*e3``.
-
-    The triple is defined up to adding a common constant; the canonical
-    representative satisfies ``v + w == 0``.
-    """
-
-    u: float
-    v: float
-    w: float
-
-    def canonical(self) -> "HexCoord":
-        t = 0.5 * (self.v + self.w)
-        return HexCoord(self.u - t, self.v - t, self.w - t)
-
-
-def to_hex(p: complex, frame: HexFrame) -> HexCoord:
-    """Canonical hexagonal coordinates of ``p`` in ``frame``."""
-    # with v + w = 0:  p - origin = e1 * (u + i*sqrt(3)*v)
-    z = (complex(p) - frame.origin) * frame.e1.conjugate()
-    return HexCoord(z.real, z.imag / SQRT3, -z.imag / SQRT3)
-
-
-def from_hex(h: HexCoord, frame: HexFrame) -> Point:
-    z = frame.origin + h.u * frame.e1 + h.v * frame.e2 + h.w * frame.e3
-    return Point.of(z)
+        return cls(e1, e1 * _OMEGA, e1 * _OMEGA.conjugate())
 
 
 def reflect_across(z: complex, axis_point: complex = 0j, axis_angle: float = 0.0) -> complex:

@@ -51,6 +51,8 @@ class LadderParams:
             raise ParameterError(f"alpha must lie in (0, pi/6), got {self.alpha}")
         if not 0.0 < self.lam <= 0.5:
             raise ParameterError(f"lam must lie in (0, 1/2], got {self.lam}")
+        if isinstance(self.depth, bool) or not isinstance(self.depth, int):
+            raise ParameterError(f"depth must be an integer, got {self.depth!r}")
         if self.depth < 1:
             raise ParameterError(f"depth must be >= 1, got {self.depth}")
 
@@ -356,11 +358,6 @@ def build_triangle_tree(params: LadderParams, side: str = UPPER) -> EmbeddedTree
         roles.append(TERMINAL)
         edges.append((0, len(verts) - 1))
     return EmbeddedTree.build(verts, roles, edges)
-
-
-def homothety(tree: EmbeddedTree, ratio: float, center: complex = 0j) -> EmbeddedTree:
-    """Scaled copy of the tree about ``center``."""
-    return scale_tree(tree, ratio, center)
 
 
 def self_similarity_defect(

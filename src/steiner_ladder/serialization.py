@@ -73,15 +73,21 @@ def instance_from_json(text: str) -> TerminalSet:
 
     family = doc.get("family")
     terminals = doc.get("terminals")
-    segment = tuple(doc["segment"]) if "segment" in doc and doc["segment"] else None
+    segment = doc.get("segment")
+    if segment is not None:
+        if not isinstance(segment, list) or len(segment) != 2:
+            raise InstanceFormatError(f"segment must name two terminals, got {segment!r}")
+        segment = tuple(segment)
 
     generated = None
     if family is not None:
         from .ladder import LadderParams, build_input
 
+        if not isinstance(family, dict):
+            raise InstanceFormatError(f"family descriptor must be an object, got {family!r}")
         try:
             params = LadderParams(
-                _parse_float(family["alpha"]), _parse_float(family["lambda"]), int(family["depth"])
+                _parse_float(family["alpha"]), _parse_float(family["lambda"]), family["depth"]
             )
             generated = build_input(params, family["family"])
         except (KeyError, ParameterError) as exc:
@@ -97,6 +103,8 @@ def instance_from_json(text: str) -> TerminalSet:
         points = tuple(Point(_parse_float(t["x"]), _parse_float(t["y"])) for t in terminals)
     except (KeyError, TypeError) as exc:
         raise InstanceFormatError(f"bad terminal entry: {exc}") from exc
+    if not all(isinstance(lab, str) for lab in labels):
+        raise InstanceFormatError("terminal labels must be strings")
     try:
         ts = TerminalSet(labels, points, family=family, segment=segment)
     except ParameterError as exc:

@@ -28,9 +28,11 @@ lie in the cone of the point it reads, so almost every infeasible orientation
 is dropped before any placement.  A candidate's trees are then placed
 top-down over its classes (``_realise``, one ``_place`` per branching point);
 an alternative whose branching point misses its arc is dropped with its
-whole subtree.
+whole subtree.  Placed trees stay nested ``(position, left, right)`` tuples;
+only those a subset keeps become vertices and edges (``_flatten``).
 ``realize_full_topology`` keeps the per-topology scan: a merge plan and a
-depth-first search over the orientation words (``_scan_topology``).
+depth-first search over the orientation words (``_scan_topology``).  Both
+paths build their trees with ``_tree_from_candidate``.
 
 ``solve_exact`` then glues full components at shared terminals (blocks
 pairwise share at most one terminal and the block graph is a tree), which
@@ -93,11 +95,11 @@ def _normalise(points: tuple[complex, ...]) -> tuple[tuple[complex, ...], Callab
 # merge planning
 
 
-def _merge_plan(topo: Topology) -> tuple[list[tuple[int, int, int, int]], int, int]:
+def _merge_plan(topo: Topology) -> list[tuple[int, int, int, int]]:
     """Merge schedule ``(steiner, leaf_a, leaf_b, remaining_neighbor)``.
 
     Terminal 0 is never consumed, so the reduced tree always ends as the
-    segment [terminal 0, last merged label]; that anchors the reconstruction.
+    segment [terminal 0, ``plan[-1][0]``]; that anchors the reconstruction.
     """
     n = topo.n_terminals
     total = n + topo.n_steiner
@@ -105,13 +107,12 @@ def _merge_plan(topo: Topology) -> tuple[list[tuple[int, int, int, int]], int, i
     for u, v in topo.edges:
         cur[u].add(v)
         cur[v].add(u)
-    root = 0
     plan: list[tuple[int, int, int, int]] = []
     remaining = set(range(n, total))
     while remaining:
         chosen = None
         for s in sorted(remaining):
-            leaves = sorted(v for v in cur[s] if len(cur[v]) == 1 and v != root)
+            leaves = sorted(v for v in cur[s] if len(cur[v]) == 1 and v != 0)
             if len(leaves) >= 2:
                 chosen = (s, leaves[0], leaves[1])
                 break
@@ -124,8 +125,7 @@ def _merge_plan(topo: Topology) -> tuple[list[tuple[int, int, int, int]], int, i
         del cur[b]
         cur[s] -= {a, b}
         remaining.discard(s)
-    last = plan[-1][0]
-    return plan, root, last
+    return plan
 
 
 def _validate_full_topology(points: Sequence[complex], topo: Topology) -> None:
@@ -151,8 +151,6 @@ def _reconstruct(
     points: Sequence[complex],
     pseudo: list[complex],
     plan: list[tuple[int, int, int, int]],
-    root: int,
-    last: int,
 ) -> dict[int, complex] | None:
     """Final branching positions for one orientation word, or None if infeasible."""
     n = len(points)
@@ -231,17 +229,18 @@ def _scan_topology(
     updated best valid length.  Pruning against the running best is safe
     because the caller re-filters against the final best.
     """
-    plan, root, last = _merge_plan(topo)
+    plan = _merge_plan(topo)
     m = len(plan)
+    last = plan[-1][0]
     pos: list[complex] = list(points) + [0j] * topo.n_steiner
     sides = [0] * m
     steps = [(s, a, b) for s, a, b, _ in plan]
 
     def rec(k: int, best: float) -> float:
         if k == m:
-            L = abs(pos[root] - pos[last])
+            L = abs(pos[0] - pos[last])
             if L < best + keep:
-                final = _reconstruct(points, pos, plan, root, last)
+                final = _reconstruct(points, pos, plan)
                 if final is not None:
                     out.append((L, topo_key, tuple(sides), dict(final), topo))
                     if L < best:
@@ -262,15 +261,13 @@ def _scan_topology(
 
 
 def _tree_from_candidate(
-    points: Sequence[complex], topo: Topology, final: dict[int, complex]
+    verts: Sequence[complex], n: int, edges: Sequence[tuple[int, int]]
 ) -> EmbeddedTree | None:
-    n = topo.n_terminals
-    verts = list(points) + [final[s] for s in range(n, n + topo.n_steiner)]
-    for u, v in topo.edges:
+    """Tree on ``verts``, the first ``n`` of them terminals; None if an edge is ``_EPS`` or less."""
+    for u, v in edges:
         if abs(verts[u] - verts[v]) <= _EPS:
             return None
-    tree = EmbeddedTree.build(verts, [TERMINAL] * n + [STEINER] * topo.n_steiner, topo.edges)
-    return tree
+    return EmbeddedTree.build(verts, [TERMINAL] * n + [STEINER] * (len(verts) - n), edges)
 
 
 def realize_full_topology(terminals, topo: Topology) -> EmbeddedTree | None:
@@ -325,16 +322,18 @@ def _subset_full_trees(
     merge length seen and the kept trees in (length, topology number,
     orientation word) order.
     """
+    n = len(points)
     out: list = []
     best = math.inf
-    source = topos if topos is not None else iter_full_topologies(len(points))
+    source = topos if topos is not None else iter_full_topologies(n)
     for key, topo in enumerate(source):
         best = _scan_topology(points, topo, key, best, keep, out)
     kept = []
     for L, key, word, final, topo in sorted(
         (c for c in out if c[0] <= best + keep), key=lambda c: (c[0], c[1], c[2])
     ):
-        tree = _tree_from_candidate(points, topo, final)
+        verts = [*points, *(final[s] for s in range(n, n + topo.n_steiner))]
+        tree = _tree_from_candidate(verts, n, topo.edges)
         if tree is not None and abs(tree.length - L) <= _SLACK:
             kept.append((L, tree))
     return best, kept
@@ -569,22 +568,20 @@ def _realise(
     return out
 
 
-def _flatten(tree, local: dict[int, int], plan: list, final: dict[int, complex], third: int) -> int:
-    """Label of the placed ``tree`` in a merge plan whose merges it appends, children first.
+def _flatten(tree, local: dict[int, int], verts: list, edges: list, parent: int) -> None:
+    """Append the placed ``tree``, hanging from vertex ``parent``, to ``verts`` and ``edges``.
 
-    A terminal is labelled by its local index.  A branching point takes the
-    next label after the terminals and the points in ``final``, which
-    receives its position, and joins the plan as ``(label, left, right,
-    third)``, ``third`` being its parent.
+    A terminal is its local index; branching points are appended in
+    pre-order, each with the edge to its parent.
     """
     if isinstance(tree, int):
-        return local[tree]
-    s = len(local) + len(final)
-    final[s] = tree[0]
-    a = _flatten(tree[1], local, plan, final, s)
-    b = _flatten(tree[2], local, plan, final, s)
-    plan.append((s, a, b, third))
-    return s
+        edges.append((local[tree], parent))
+        return
+    s = len(verts)
+    verts.append(tree[0])
+    edges.append((parent, s))
+    _flatten(tree[1], local, verts, edges, s)
+    _flatten(tree[2], local, verts, edges, s)
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +683,7 @@ def _rooted_full_trees(
     a candidate when r lies in its cone; with merge length L = |r - E| below
     the running best plus ``keep`` its trees are placed at once.  Each entry
     keeps the valid trees within ``keep`` of the shortest valid L, ordered by
-    length.
+    length; only these are flattened into vertices and edges.
 
     With ``bounded`` the running best of a subset S starts at MST(S), its
     minimum spanning length, instead of infinity, so a tree with L >= MST(S)
@@ -712,7 +709,7 @@ def _rooted_full_trees(
         C = _classes(T, points, memo)
         cands = zip(C.E, C.mid, C.half, range(len(C.E)), itertools.repeat(None))
     for E, mid, half, ref, _key in cands:
-        for k, (_S, pts, local, found) in enumerate(subsets):
+        for k, (_S, pts, _local, found) in enumerate(subsets):
             x = pts[0] - E
             L = abs(x)
             if L >= best[k] + keep:
@@ -721,20 +718,14 @@ def _rooted_full_trees(
                 continue  # the root is outside the cone
             alts = (ref,) if C is None else C.alternatives(ref)
             for tree in _realise(T, alts, E, pts[0], memo):
-                plan: list[tuple[int, int, int, int]] = []
-                final: dict[int, complex] = {}
-                _flatten(tree, local, plan, final, 0)
-                found.append((L, plan, final))
+                found.append((L, tree))
                 best[k] = min(best[k], L)
-    for k, (S, pts, _local, found) in enumerate(subsets):
+    for k, (S, pts, local, found) in enumerate(subsets):
         entries = []
-        for L, plan, final in sorted(
-            (c for c in found if c[0] <= best[k] + keep), key=lambda c: c[0]
-        ):
-            edges = [(t, s) for s, _a, _b, t in plan]  # every merge to its parent
-            edges += [(c, s) for s, a, b, _t in plan for c in (a, b) if c < len(pts)]
-            topo = Topology(len(pts), len(plan), tuple(sorted(edges)))
-            tree = _tree_from_candidate(pts, topo, final)
+        for L, placed in sorted((c for c in found if c[0] <= best[k] + keep), key=lambda c: c[0]):
+            verts, edges = list(pts), []
+            _flatten(placed, local, verts, edges, 0)
+            tree = _tree_from_candidate(verts, len(pts), sorted(edges))
             if tree is not None and abs(tree.length - L) <= _SLACK:
                 entries.append((L, tree))
         table[S] = entries

@@ -74,7 +74,17 @@ class EmbeddedTree:
         return len(seen) == len(self.vertices)
 
     def is_acyclic(self) -> bool:
-        return len(self.edges) < max(1, len(self.vertices))
+        """False when an edge joins two connected vertices, a self-loop or repeat included."""
+        root = list(range(len(self.vertices)))
+        for u, v in self.edges:
+            while root[u] != u:
+                root[u] = u = root[root[u]]
+            while root[v] != v:
+                root[v] = v = root[root[v]]
+            if u == v:
+                return False
+            root[u] = v
+        return True
 
 
 def transform_tree(tree: EmbeddedTree, fn) -> EmbeddedTree:

@@ -97,6 +97,16 @@ def test_validate_ladder_tree(a1_tree):
     assert report.degree_histogram[3] == 6  # three branching points per block
 
 
+def test_validate_reports_a_cycle_in_a_disconnected_graph():
+    pts = [complex(k, k * k) for k in range(5)]
+    triangle = EmbeddedTree.build(pts, [TERMINAL] * 5, [(0, 1), (1, 2), (2, 0)])
+    report = validate_steiner_geometry(triangle)  # a triangle and two isolated vertices
+    assert not report.connected and not report.acyclic
+    for edges in ([(0, 1), (1, 1)], [(0, 1), (1, 0)]):  # a self-loop, a repeated edge
+        assert not EmbeddedTree.build(pts, [TERMINAL] * 5, edges).is_acyclic()
+    assert EmbeddedTree.build(pts, [TERMINAL] * 5, [(0, 1), (2, 3)]).is_acyclic()
+
+
 def test_validate_flags_narrow_angle():
     # 110 degree angle at the middle vertex
     bad = EmbeddedTree.build(

@@ -56,15 +56,13 @@ def test_solve_five_point_block_is_full(tmp_path, capsys):
     assert sum(1 for r in tree.roles if r == "steiner") == 3
 
 
-def test_solve_workers_flag_is_deprecated_and_ignored(tmp_path, capsys):
+def test_solve_rejects_the_removed_workers_flag(tmp_path, capsys):
     out = tmp_path / "tree.json"
-    code, stdout = run(capsys, "solve", fixture("a5.json"), "--out", str(out))
-    assert code == 0
-    code_w = main(["solve", fixture("a5.json"), "--out", str(out), "--workers", "2"])
-    captured = capsys.readouterr()
-    assert code_w == 0
-    assert json.loads(captured.out)["length"] == json.loads(stdout)["length"]
-    assert len(captured.err.splitlines()) == 1 and "deprecated" in captured.err
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", fixture("a5.json"), "--out", str(out), "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_two_points(tmp_path, capsys):
@@ -93,6 +91,44 @@ def test_solve_rejects_oversized(tmp_path, capsys):
 def test_solve_rejects_bad_tol(tmp_path, capsys, tol):
     out = tmp_path / "t.json"
     code = main(["solve", fixture("square.json"), "--out", str(out), f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fixture_name, path, value",
+    [
+        ("a0_family.json", ["family", "depth"], "x"),
+        ("a0_family.json", ["family", "depth"], None),
+        ("a0_family.json", ["family", "depth"], 2.5),
+        ("a0_family.json", ["family"], ["A0", 4]),
+        ("a0_family.json", ["family"], "A0"),
+        ("a5.json", ["segment"], 5),
+        ("a5.json", ["segment"], "A1"),
+        ("a5.json", ["segment"], ["A1"]),
+        ("a5.json", ["segment"], ["A1", "A2", "A3"]),
+        ("a5.json", ["terminals", 0, "label"], ["A", 1]),
+        ("a5.json", ["terminals", 0, "label"], 7),
+    ],
+    ids=[
+        "depth-string", "depth-null", "depth-float", "family-list", "family-string",
+        "segment-number", "segment-string", "segment-one-label", "segment-three-labels",
+        "label-list", "label-number",
+    ],
+)
+def test_solve_malformed_instance_exits_2(tmp_path, capsys, fixture_name, path, value):
+    doc = json.loads(Path(fixture(fixture_name)).read_text())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps(doc))
+    out = tmp_path / "t.json"
+    code = main(["solve", str(inst), "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

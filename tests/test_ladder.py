@@ -22,7 +22,6 @@ from steiner_ladder.ladder import (
     separation_predicate,
     closed_form_length_A1,
     condition_holds,
-    homothety,
     length_by_J,
     segment_radius,
     self_similarity_defect,
@@ -30,7 +29,7 @@ from steiner_ladder.ladder import (
     x_point,
 )
 from steiner_ladder.solver import solve_exact
-from steiner_ladder.trees import TERMINAL
+from steiner_ladder.trees import TERMINAL, scale_tree
 
 ALPHA = math.pi / 36
 LAM = 0.5
@@ -59,6 +58,12 @@ def test_params_validation():
         LadderParams(ALPHA, 0.51, 3)
     with pytest.raises(ParameterError):
         LadderParams(ALPHA, 0.5, 0)
+
+
+@pytest.mark.parametrize("depth", [2.5, 3.0, "3", None, True])
+def test_params_reject_a_depth_that_is_not_an_integer(depth):
+    with pytest.raises(ParameterError):
+        LadderParams(ALPHA, LAM, depth)
 
 
 def test_build_input_a1():
@@ -284,7 +289,7 @@ def test_length_by_J():
 
 def test_homothety():
     tree = build_ladder_tree_A0(LadderParams(ALPHA, LAM, 6), "upper")
-    scaled = homothety(tree, LAM**2)
+    scaled = scale_tree(tree, LAM**2)
     assert scaled.length == pytest.approx(LAM**2 * tree.length, rel=1e-14)
 
 
