@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 parse/format error, 3 instance size/shape not
-solvable, 4 admissibility condition violated.
+solvable, 4 admissibility condition violated.  ``main`` is the one place
+that maps a library exception to its exit code.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import math
 import sys
 import time
+from pathlib import Path
 
 from . import dynamics as dyn
 from . import ladder, serialization as ser
@@ -24,11 +26,6 @@ EXIT_SIZE = 3
 EXIT_CONDITION = 4
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="steiner-ladder",
@@ -41,6 +38,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9, help="tolerance, in terminal spans")
     p.add_argument("--out", required=True, help="tree JSON output path")
     p.add_argument("--render", help="also write an SVG figure here")
+    p.set_defaults(run=_cmd_solve)
 
     p = sub.add_parser("construct", help="build an explicit ladder network")
     p.add_argument("--family", choices=("A0", "A1"), required=True)
@@ -51,75 +49,63 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--side", choices=("upper", "lower"), default="upper")
     p.add_argument("--out", required=True, help="tree JSON output path")
     p.add_argument("--render", help="also write an SVG figure here")
+    p.set_defaults(run=_cmd_construct)
 
     p = sub.add_parser("dynamics", help="iterate the interval contraction")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--t0", type=float)
-    p.add_argument("--periodic", type=int, help="use the smallest point of this period")
+    start = p.add_mutually_exclusive_group(required=True)
+    start.add_argument("--t0", type=float)
+    start.add_argument("--periodic", type=int, help="use the smallest point of this period")
     p.add_argument("--steps", type=int, default=20)
     p.add_argument("--direction", choices=("forward", "inverse"), default="inverse")
     p.add_argument("--out", required=True, help="orbit CSV output path")
     p.add_argument("--tree-out", help="also reconstruct the network into this tree file")
     p.add_argument("--depth", type=int, help="network depth for --tree-out")
+    p.set_defaults(run=_cmd_dynamics)
 
     p = sub.add_parser("region", help="tabulate the admissibility predicates on a grid")
     p.add_argument("--alpha-steps", type=int, default=100)
     p.add_argument("--lambda-steps", type=int, default=100)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_region)
 
     p = sub.add_parser("render", help="render a tree file to SVG")
     p.add_argument("tree")
     p.add_argument("--out", required=True)
     p.add_argument("--instance", help="overlay the instance (angle sides, terminals)")
     p.add_argument("--width", type=int, default=800)
+    p.set_defaults(run=_cmd_render)
 
     p = sub.add_parser("selftest", help="run the quick verification suite")
-    p.add_argument("--fast", action="store_true")
+    p.set_defaults(run=_cmd_selftest)
     return top
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _dispatch(args)
-    except ser.InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return args.run(args)
+    except (ser.InstanceFormatError, OSError) as exc:
+        return _fail(exc, EXIT_PARSE)
+    except (ParameterError, ForbiddenPointError) as exc:
+        return _fail(exc, EXIT_CONDITION)
 
 
-def _dispatch(args) -> int:
-    cmd = args.command
-    if cmd == "solve":
-        return _cmd_solve(args)
-    if cmd == "construct":
-        return _cmd_construct(args)
-    if cmd == "dynamics":
-        return _cmd_dynamics(args)
-    if cmd == "region":
-        return _cmd_region(args)
-    if cmd == "render":
-        return _cmd_render(args)
-    if cmd == "selftest":
-        return _cmd_selftest(args)
-    raise AssertionError(cmd)
+def _fail(message, code: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def _cmd_solve(args) -> int:
     if not args.tol >= 0:
-        print(f"error: --tol must be zero or more, got {args.tol!r}", file=sys.stderr)
-        return EXIT_PARSE
-    ts = ser.instance_from_json(_read(args.instance))
+        return _fail(f"--tol must be zero or more, got {args.tol!r}", EXIT_PARSE)
+    ts = ser.instance_from_json(Path(args.instance).read_text(encoding="utf-8"))
     if ts.segment is not None:
-        print("error: instances with a continuum segment cannot be solved", file=sys.stderr)
-        return EXIT_SIZE
+        return _fail("instances with a continuum segment cannot be solved", EXIT_SIZE)
     if not 2 <= len(ts) <= MAX_TERMINALS:
-        print(f"error: solve handles 2..{MAX_TERMINALS} terminals, got {len(ts)}", file=sys.stderr)
-        return EXIT_SIZE
+        return _fail(f"solve handles 2..{MAX_TERMINALS} terminals, got {len(ts)}", EXIT_SIZE)
     t0 = time.perf_counter()
     sol = solve_exact(ts, tol=args.tol)
     dt = time.perf_counter() - t0
@@ -133,18 +119,14 @@ def _cmd_solve(args) -> int:
 
 def _cmd_construct(args) -> int:
     t0 = time.perf_counter()
-    try:
-        params = ladder.LadderParams(args.alpha, args.lam, args.depth)
-        if args.family == "A0":
-            tree = ladder.build_ladder_tree_A0(params, args.side)
-            closed = ladder.closed_form_length_A0(args.alpha, args.lam)
-        else:
-            word = args.word if args.word is not None else "0" * ((args.depth - 1) // 2)
-            tree = ladder.build_ladder_tree_A1(params, word)
-            closed = ladder.closed_form_length_A1(args.alpha, args.lam)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONDITION
+    params = ladder.LadderParams(args.alpha, args.lam, args.depth)
+    if args.family == "A0":
+        tree = ladder.build_ladder_tree_A0(params, args.side)
+        closed = ladder.closed_form_length_A0(args.alpha, args.lam)
+    else:
+        word = args.word if args.word is not None else "0" * ((args.depth - 1) // 2)
+        tree = ladder.build_ladder_tree_A1(params, word)
+        closed = ladder.closed_form_length_A1(args.alpha, args.lam)
     dt = time.perf_counter() - t0
     ser.atomic_write(args.out, ser.tree_to_json(tree))
     if args.render:
@@ -180,19 +162,11 @@ def _cmd_construct(args) -> int:
 
 def _cmd_dynamics(args) -> int:
     t0 = time.perf_counter()
-    try:
-        p = dyn.derive_params(args.alpha, args.lam, args.beta)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONDITION
-    if (args.t0 is None) == (args.periodic is None):
-        print("error: give exactly one of --t0 / --periodic", file=sys.stderr)
-        return EXIT_PARSE
+    p = dyn.derive_params(args.alpha, args.lam, args.beta)
     if args.periodic is not None:
         points = dyn.periodic_points(p, args.periodic)
         if not points:
-            print(f"error: no admissible point of period {args.periodic}", file=sys.stderr)
-            return EXIT_CONDITION
+            raise ParameterError(f"no admissible point of period {args.periodic}")
         start = points[0]
     else:
         start = args.t0
@@ -213,18 +187,13 @@ def _cmd_dynamics(args) -> int:
     if args.tree_out:
         depth = args.depth or len(orbit.values)
         if orbit.status != "ok" or len(orbit.values) < depth:
-            print("error: orbit stopped early; cannot build the network", file=sys.stderr)
-            return EXIT_CONDITION
+            raise ParameterError("orbit stopped early; cannot build the network")
         ldr = ladder.LadderParams(args.alpha, args.lam, depth)
         # an inverse orbit read backwards is the forward trajectory
         build = orbit if args.direction == "forward" else dyn.Orbit(
             tuple(reversed(orbit.values))
         )
-        try:
-            tree = dyn.tree_from_orbit(p, ldr, build, depth)
-        except (ParameterError, ForbiddenPointError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONDITION
+        tree = dyn.tree_from_orbit(p, ldr, build, depth)
         ser.atomic_write(args.tree_out, ser.tree_to_json(tree))
     dt = time.perf_counter() - t0
     print(
@@ -263,10 +232,10 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    tree = ser.tree_from_json(_read(args.tree))
+    tree = ser.tree_from_json(Path(args.tree).read_text(encoding="utf-8"))
     instance: TerminalSet | None = None
     if args.instance:
-        instance = ser.instance_from_json(_read(args.instance))
+        instance = ser.instance_from_json(Path(args.instance).read_text(encoding="utf-8"))
     ser.atomic_write(args.out, ser.svg_render(tree, instance=instance, width=args.width))
     return EXIT_OK
 
@@ -274,7 +243,7 @@ def _cmd_render(args) -> int:
 def _cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
-    return run_selftest(fast=args.fast)
+    return run_selftest()
 
 
 if __name__ == "__main__":

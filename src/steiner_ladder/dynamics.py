@@ -202,12 +202,16 @@ def periodic_points(p: DynamicsParams, period: int) -> list[float]:
     return sorted(found)
 
 
+def _unit_height(p: DynamicsParams, nu: float) -> float:
+    """Hexagonal height of normalised value ``nu`` at level 0; level j scales it by lam**j."""
+    return (p.a + p.b) * (nu - 0.5) + p.delta
+
+
 def orbit_heights(p: DynamicsParams, orbit: Orbit) -> list[float]:
     """Un-normalised hexagonal heights ``mu_j`` of an orbit's segments."""
-    out = []
-    for j, v in enumerate(orbit.values, start=orbit.start_index):
-        out.append(p.lam**j * ((p.a + p.b) * (v - 0.5) + p.delta))
-    return out
+    return [
+        p.lam**j * _unit_height(p, v) for j, v in enumerate(orbit.values, start=orbit.start_index)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +279,7 @@ def tree_from_orbit(
         roles.append(role)
         return len(verts) - 1
 
-    mu0 = lam**j0 * ((p.a + p.b) * (values[0] - 0.5) + p.delta)
-    prev = add(anchor(j0, mu0), TERMINAL)
+    prev = add(anchor(j0, lam**j0 * _unit_height(p, values[0])), TERMINAL)
     for idx in range(K):
         j = j0 + idx
         nu = values[idx]
@@ -284,10 +287,10 @@ def tree_from_orbit(
         a_c = s * a1
         u_c = s * u1
         b_c = s * b1
-        mu = s * ((p.a + p.b) * (nu - 0.5) + p.delta)
         if abs(nu - p.t_star) <= _BOUNDARY_TOL:
             raise ForbiddenPointError(f"orbit value {nu} hits the corner height t*")
-        scaled = mu / s
+        # level-0 height, since s underflows to 0 past level ~1075 at lam = 1/2
+        scaled = _unit_height(p, nu)
         if nu > p.t_star:
             tfrac = (v_a1 - scaled) / (v_a1 - v_u1)
             t_pt = a_c + tfrac * (u_c - a_c)

@@ -18,7 +18,7 @@ ALPHA = math.pi / 36
 LAM = 0.5
 
 
-def run_selftest(fast: bool = False) -> int:
+def run_selftest() -> int:
     checks = [
         ("topology counts 3..7", _check_counts),
         ("unit square baseline", _check_square),
@@ -27,8 +27,6 @@ def run_selftest(fast: bool = False) -> int:
         ("interval dynamics", _check_dynamics),
         ("admissibility region", _check_region),
     ]
-    if fast:
-        checks = checks[:3] + checks[4:]
     failures = 0
     for name, fn in checks:
         try:

@@ -147,15 +147,25 @@ def tree_from_json(text: str) -> EmbeddedTree:
     try:
         verts = [complex(_parse_float(v["x"]), _parse_float(v["y"])) for v in doc["vertices"]]
         roles = [v["role"] for v in doc["vertices"]]
-        edges = [(int(u), int(w)) for u, w in doc["edges"]]
+        edges = [(u, w) for u, w in doc["edges"]]
+        stated = _parse_float(doc["length"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceFormatError(f"bad tree entry: {exc}") from exc
     if any(r not in (TERMINAL, STEINER) for r in roles):
         raise InstanceFormatError("vertex roles must be 'terminal' or 'steiner'")
     nv = len(verts)
-    if any(not 0 <= u < nv or not 0 <= w < nv for u, w in edges):
-        raise InstanceFormatError("edge index out of range")
-    return EmbeddedTree.build(verts, roles, edges)
+    # bool is an int subclass, so test the exact type
+    if any(
+        type(u) is not int or type(w) is not int or not 0 <= u < nv or not 0 <= w < nv or u == w
+        for u, w in edges
+    ):
+        raise InstanceFormatError("each edge must join two distinct vertex indices")
+    tree = EmbeddedTree.build(verts, roles, edges)
+    if abs(stated - tree.length) > 1e-9 * tree.length:
+        raise InstanceFormatError(
+            f"stated length {fmt(stated)} differs from the edge sum {fmt(tree.length)}"
+        )
+    return tree
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from steiner_ladder import cli
 from steiner_ladder.cli import main
+from steiner_ladder.ladder import LadderParams, build_ladder_tree_A0, build_ladder_tree_A1
 from steiner_ladder.serialization import (
     InstanceFormatError,
     instance_from_json,
@@ -184,6 +185,35 @@ def test_construct_inadmissible_exits_4(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--periodic", "13"],
+        ["--periodic", "2", "--tree-out", "t.json", "--depth", "-3"],
+    ],
+    ids=["period-13", "negative-depth"],
+)
+def test_dynamics_parameter_error_exits_4(tmp_path, monkeypatch, capsys, extra):
+    monkeypatch.chdir(tmp_path)
+    code = main(["dynamics", "--alpha", "0.0872664626", "--lambda", "0.5", "--out", "o.csv"]
+                + extra)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_dynamics_deep_periodic_tree(tmp_path, capsys):
+    tree_out = tmp_path / "t.json"
+    code, _ = run(
+        capsys,
+        "dynamics", "--alpha", "0.0872664626", "--lambda", "0.5", "--periodic", "2",
+        "--steps", "1100", "--out", str(tmp_path / "o.csv"), "--tree-out", str(tree_out),
+    )
+    assert code == 0
+    assert tree_from_json(tree_out.read_text()).length > 0
+
+
 def test_dynamics_periodic_csv(tmp_path, capsys):
     out = tmp_path / "orbit.csv"
     code, _ = run(
@@ -286,6 +316,37 @@ def test_render_empty_tree(tmp_path, capsys):
     assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("edges", [[0, 1.7]]),
+        ("edges", [["0", 1]]),
+        ("edges", [[0, True]]),
+        ("edges", [[0, 1, 1]]),
+        ("edges", [[1, 1]]),
+        ("length", "9"),
+    ],
+    ids=["float-index", "string-index", "bool-index", "triple", "self-loop", "wrong-length"],
+)
+def test_render_malformed_tree_exits_2(tmp_path, capsys, key, value):
+    doc = json.loads(tree_to_json(EmbeddedTree.build([0, 1], [TERMINAL, TERMINAL], [(0, 1)])))
+    doc[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "bad.svg"
+    code = main(["render", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert not out.exists()
+
+
+def test_tree_round_trip_bit_exact():
+    params = LadderParams(math.pi / 36, 0.5, 9)
+    for tree in (build_ladder_tree_A0(params, "upper"), build_ladder_tree_A1(params, "0101")):
+        assert tree_from_json(tree_to_json(tree)) == tree
+
+
 def test_render_failure_leaves_no_partial_file(tmp_path, capsys):
     tree_path = tmp_path / "tree.json"
     run(capsys, "solve", fixture("two_points.json"), "--out", str(tree_path))
@@ -313,7 +374,10 @@ def test_family_descriptor_regenerates_and_validates(tmp_path):
         instance_from_json(json.dumps(doc))
 
 
-def test_selftest_fast(capsys):
-    code, out = run(capsys, "selftest", "--fast")
+def test_selftest(capsys):
+    code, out = run(capsys, "selftest")
     assert code == 0
     assert "FAIL" not in out
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--fast"])
+    assert exc.value.code == 2

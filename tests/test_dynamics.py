@@ -199,6 +199,14 @@ def test_tree_from_orbit_matches_direct_construction(p0):
     assert tree2.length == pytest.approx(upper.length, rel=1e-12)
 
 
+@pytest.mark.parametrize("K", [1100, 2000])
+def test_tree_from_orbit_past_underflow_matches_direct_construction(p0, K):
+    # lam**K underflows to 0 here, so the level heights must not be divided by it
+    ldr = LadderParams(ALPHA, LAM, K)
+    tree = tree_from_orbit(p0, ldr, iterate(p0, 1 / 6, K + 1, "inverse"), K)
+    assert tree.length == pytest.approx(build_ladder_tree_A0(ldr, "lower").length, rel=1e-12)
+
+
 def test_orbit_tree_round_trip(p0, p_tilt):
     K = 10
     ldr = LadderParams(ALPHA, LAM, K)

@@ -2,7 +2,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steiner_ladder.dynamics import _from_uv, _hex_uv
@@ -57,14 +57,17 @@ def test_equilateral_third_degenerate():
 
 @settings(max_examples=200, derandomize=True)
 @given(coords, coords, coords, coords, st.sampled_from(["left", "right"]))
+@example(0.0, 1.0, 1e-6, 1.0, "left")
 def test_equilateral_third_equidistant(x1, y1, x2, y2, side):
     p1, p2 = complex(x1, y1), complex(x2, y2)
     base = abs(p2 - p1)
     if base < 1e-9:
         return
     p = equilateral_third(p1, p2, side)
-    assert abs(abs(p - p1) - base) <= 1e-12 * base
-    assert abs(abs(p - p2) - base) <= 1e-12 * base
+    # p - p1 rounds at the scale of the coordinates, not of the base
+    tol = 1e-12 * max(base, abs(p1), abs(p2))
+    assert abs(abs(p - p1) - base) <= tol
+    assert abs(abs(p - p2) - base) <= tol
 
 
 def test_angle_at_examples():
