@@ -185,7 +185,7 @@ def _cmd_dynamics(args) -> int:
         ser.orbit_to_csv(orbit.values, heights, branches, orbit.status, orbit.start_index),
     )
     if args.tree_out:
-        depth = args.depth or len(orbit.values)
+        depth = len(orbit.values) if args.depth is None else args.depth
         if orbit.status != "ok" or len(orbit.values) < depth:
             raise ParameterError("orbit stopped early; cannot build the network")
         ldr = ladder.LadderParams(args.alpha, args.lam, depth)

@@ -41,6 +41,15 @@ subset's full trees by the subset's minimum spanning length (the MST test of
 GeoSteiner): a structure holding a full tree longer than that by more than
 the tolerance can swap it for the MST, so it is not within the tolerance of
 the optimum, and no such tree is placed (``_rooted_full_trees``).
+It also cuts, in the generator, a merge of a terminal a into a branching
+point s that must lie too far from a: the bottleneck Steiner distance of
+GeoSteiner (Winter & Zachariasen 1997).  If |a - s| exceeds the longest
+edge on the minimum spanning tree path from a to a terminal t beyond s by
+more than the tolerance, deleting the edge a-s and adding that path's edge
+that joins the two sides gives a network shorter by more than the
+tolerance, so no structure within it holds such a tree (``_caps``).  Both
+bounds apply to ``solve_exact`` only: ``minimal_full_tree`` still finds full
+trees that lie in no Steiner minimal tree.
 """
 
 from __future__ import annotations
@@ -399,13 +408,16 @@ def _memo(points: tuple[complex, ...]) -> dict[int, _Classes]:
     }
 
 
-def _classes(T: int, points: tuple[complex, ...], memo: dict[int, _Classes]) -> _Classes:
+def _classes(
+    T: int, points: tuple[complex, ...], memo: dict[int, _Classes], caps: list | None = None
+) -> _Classes:
     """The signature classes of mask ``T``, generated once and held in ``memo``.
 
     Three terminals cannot repeat a signature, so up to three every merge is
     a class of its own, kept in tuples.  Larger masks merge their merges by
     key.  A mask keeps its keys only when such a larger mask reads them: one
-    below the top mask, which holds at most n - 2 terminals.
+    below the top mask, which holds at most n - 2 terminals.  ``caps`` is
+    the bottleneck cut of ``_merges``; a memo is built with one ``caps``.
     """
     C = memo.get(T)
     if C is not None:
@@ -413,14 +425,14 @@ def _classes(T: int, points: tuple[complex, ...], memo: dict[int, _Classes]) -> 
     size = T.bit_count()
     keep = len(points) - 2 > max(size, 3)
     if size <= 3:
-        rows = list(_merges(T, points, memo, keep))
+        rows = list(_merges(T, points, memo, keep, caps))
         E, mid, half, alts, keys = zip(*rows) if rows else ((),) * 5
         C = memo[T] = _Classes(E, mid, half, keys if keep else (), alts)
         return C
     E, mid, half = [], array("d"), array("d")
     alts, head, nxt = array("Q"), array("q"), array("q")
     index: dict[int, int] = {}  # key -> class, in class order
-    for e, m, h, alt, key in _merges(T, points, memo, True):
+    for e, m, h, alt, key in _merges(T, points, memo, True, caps):
         c = index.get(key)
         if c is None:
             c = index[key] = len(E)
@@ -453,7 +465,13 @@ def _cone_union(m1: float, h1: float, m2: float, h2: float) -> tuple[float, floa
     return m1 + 0.5 * (hi + lo), half
 
 
-def _merges(T: int, points: tuple[complex, ...], memo: dict[int, _Classes], keyed: bool):
+def _merges(
+    T: int,
+    points: tuple[complex, ...],
+    memo: dict[int, _Classes],
+    keyed: bool,
+    caps: list | None,
+):
     """Yield every feasible merge of two child classes into an equilateral point on ``T``.
 
     A merge is ``(E, mid, half, alt, key)``, ``alt`` packed as in
@@ -470,10 +488,16 @@ def _merges(T: int, points: tuple[complex, ...], memo: dict[int, _Classes], keye
     ``_SLACK`` radians, cuts an interval of phi.  A pair is cut when the two
     intervals share no phi in [0, pi/3]; only pairs that ``_place`` would
     reject are.
+
+    With ``caps`` (see ``_caps``) a pair whose small child is a terminal a is
+    also cut when its branching point s is too far from a: with d = |a - e1|,
+    |a - s| = (2d/sqrt 3) sin(pi/3 - phi) is at least d sin(pi/3 - hi) *
+    2/sqrt 3 on the interval, and no tree within the tolerance of the optimum
+    has |a - s| above the bottleneck cap of a over the terminals of e1.
     """
     n = len(points)
     full = (1 << 6 * n) - 1
-    pi, tau, arc, turn, phase = math.pi, _TAU, _ARC, 2.0 * _ARC, cmath.phase
+    pi, tau, arc, turn, phase, sin = math.pi, _TAU, _ARC, 2.0 * _ARC, cmath.phase, math.sin
     left, right = ROT_LEFT, ROT_RIGHT
     low = T & -T
     rest = T ^ low
@@ -482,7 +506,7 @@ def _merges(T: int, points: tuple[complex, ...], memo: dict[int, _Classes], keye
         A = (A - 1) & rest
         T1, T2 = low | A, rest ^ A
         small, big = (T1, T2) if T1.bit_count() <= T2.bit_count() else (T2, T1)
-        sc = _classes(small, points, memo)
+        sc = _classes(small, points, memo, caps)
         smalls = [
             (j << 1, e, m, h + _SLACK) for j, (e, m, h) in enumerate(zip(sc.E, sc.mid, sc.half))
         ]
@@ -490,8 +514,9 @@ def _merges(T: int, points: tuple[complex, ...], memo: dict[int, _Classes], keye
             continue
         if keyed:  # the keys of the small classes times omega and omega^5
             turned = [((k << n | k >> 5 * n) & full, (k << 5 * n | k >> n) & full) for k in sc.key]
-        bc = _classes(big, points, memo)
+        bc = _classes(big, points, memo, caps)
         key = None
+        cap = caps[small.bit_length() - 1][big] if caps and not small & (small - 1) else None
         for i, (e1, m1, h1) in enumerate(zip(bc.E, bc.mid, bc.half)):
             h1 += _SLACK
             bi = big << _BIG | i << _I
@@ -514,7 +539,7 @@ def _merges(T: int, points: tuple[complex, ...], memo: dict[int, _Classes], keye
                     lo = 0.0
                 if hi > arc:
                     hi = arc
-                if lo <= hi:
+                if lo <= hi and (cap is None or abs(d) * sin(arc - hi) <= cap):
                     if keyed:
                         key = b5 | turned[j >> 1][0]
                     # from E the arc starts towards e1, along v - sigma*2pi/3
@@ -527,7 +552,7 @@ def _merges(T: int, points: tuple[complex, ...], memo: dict[int, _Classes], keye
                     lo = 0.0
                 if hi > arc:
                     hi = arc
-                if lo <= hi:
+                if lo <= hi and (cap is None or abs(d) * sin(arc - hi) <= cap):
                     if keyed:
                         key = b1 | turned[j >> 1][1]
                     yield e1 + d * right, v + turn - 0.5 * (lo + hi), 0.5 * (hi - lo), bi | j | 1, key
@@ -652,7 +677,8 @@ def _full_component_table(
 
     With ``bounded`` a subset of three or more terminals drops every tree
     at least ``keep`` longer than its minimum spanning length (see
-    ``_rooted_full_trees``); the segments of two terminals are always kept.
+    ``_rooted_full_trees``), and the generator cuts merges by the bottleneck
+    test (``_caps``); the segments of two terminals are always kept.
     """
     n = len(points)
     table: dict[int, list[tuple[float, EmbeddedTree]]] = {}
@@ -660,10 +686,41 @@ def _full_component_table(
         seg = EmbeddedTree.build([points[i], points[j]], [TERMINAL, TERMINAL], [(0, 1)])
         table[(1 << i) | (1 << j)] = [(seg.length, seg)]
     memo = _memo(points)
+    caps = _caps(points, keep) if bounded else None
     for T in range(6, 1 << n, 2):
         if T.bit_count() >= 2:
-            _rooted_full_trees(points, memo, T, keep, table, bounded)
+            _rooted_full_trees(points, memo, T, keep, table, caps)
     return table
+
+
+def _caps(points: tuple[complex, ...], keep: float) -> list[list[float]]:
+    """The bottleneck cut of ``_merges``: ``caps[a][mask]`` for a terminal a and a mask.
+
+    b(a, t) is the longest edge on the path from a to t in the minimum
+    spanning tree of all the terminals, and ``caps[a][mask]`` is (min over t
+    in mask of b(a, t) + ``keep``) * sqrt(3)/2.  In a network within ``tol``
+    of the optimum, an edge from a to a branching point s that separates a
+    from t is no longer than b(a, t) + ``tol``: else deleting it and adding
+    the edge of that MST path that joins the two sides is shorter by more.
+    Each row doubles once per terminal.
+    """
+    n = len(points)
+    far = [[0.0] * n for _ in range(n)]  # b(a, t), filled as Prim joins each terminal
+    joined = [0]
+    for u, v in _prim(points)[1]:
+        w = abs(points[u] - points[v])
+        for t in joined:
+            far[v][t] = far[t][v] = max(far[u][t], w)
+        joined.append(v)
+    caps = []
+    for a, row_b in enumerate(far):
+        row_b[a] = math.inf
+        row = [math.inf]
+        for b in row_b:  # the masks holding terminal t are those below 2^t, with t added
+            c = (b + keep) * SQRT3 / 2.0
+            row += [x if x < c else c for x in row]
+        caps.append(row)
+    return caps
 
 
 def _rooted_full_trees(
@@ -672,7 +729,7 @@ def _rooted_full_trees(
     T: int,
     keep: float,
     table: dict[int, list[tuple[float, EmbeddedTree]]],
-    bounded: bool = False,
+    caps: list | None = None,
 ) -> None:
     """Enter in ``table`` the best full trees (within ``keep``) of every subset T + r, r < min(T).
 
@@ -685,12 +742,14 @@ def _rooted_full_trees(
     keeps the valid trees within ``keep`` of the shortest valid L, ordered by
     length; only these are flattened into vertices and edges.
 
-    With ``bounded`` the running best of a subset S starts at MST(S), its
-    minimum spanning length, instead of infinity, so a tree with L >= MST(S)
-    + ``keep`` is never placed.  No such tree is a block of a structure
-    within ``tol`` = ``keep`` - ``_SLACK`` of the optimum: replacing it by
-    the MST of its terminals leaves a connected network more than ``keep``
-    shorter, and no connected network is shorter than the optimum.
+    With ``caps`` (``solve_exact``) the generator cuts merges by the
+    bottleneck test (``_caps``), and the running best of a subset S starts
+    at MST(S), its minimum spanning length, instead of infinity, so a tree
+    with L >= MST(S) + ``keep`` is never placed.  No such tree is a block of
+    a structure within ``tol`` = ``keep`` - ``_SLACK`` of the optimum:
+    replacing it by the MST of its terminals leaves a connected network more
+    than ``keep`` shorter, and no connected network is shorter than the
+    optimum.
     """
     n = len(points)
     members = [i for i in range(n) if T >> i & 1]
@@ -700,13 +759,13 @@ def _rooted_full_trees(
         local = {i: k for k, i in enumerate(idxs)}
         subsets.append((T | 1 << r, tuple(points[i] for i in idxs), local, []))
     # three terminals have no full tree longer than their MST: the Fermat tree is shortest
-    bounded = bounded and len(members) > 2
+    bounded = caps is not None and len(members) > 2
     best = [_prim(pts)[0] if bounded else math.inf for _S, pts, _local, _found in subsets]
     if T == (1 << n) - 2:
         C = None
-        cands = _merges(T, points, memo, False)
+        cands = _merges(T, points, memo, False, caps)
     else:
-        C = _classes(T, points, memo)
+        C = _classes(T, points, memo, caps)
         cands = zip(C.E, C.mid, C.half, range(len(C.E)), itertools.repeat(None))
     for E, mid, half, ref, _key in cands:
         for k, (_S, pts, _local, found) in enumerate(subsets):

@@ -145,6 +145,23 @@ def brute_mst_length(points) -> float:
     return best
 
 
+def minimax_distances(points) -> list[list[float]]:
+    """Bottleneck distances: over all paths between two points, the least longest edge.
+
+    Floyd-Warshall on the complete graph with max in place of +.  Between
+    two points this is the longest edge on their path in any minimum
+    spanning tree.
+    """
+    pts = [complex(p) for p in points]
+    n = len(pts)
+    b = [[abs(p - q) for q in pts] for p in pts]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                b[i][j] = min(b[i][j], max(b[i][k], b[k][j]))
+    return b
+
+
 def hex_solve_oracle(p: complex, e1: complex) -> tuple[float, float, float]:
     """Canonical hex coordinates by solving the 2x2 linear system directly."""
     omega = complex(-0.5, math.sqrt(3) / 2)

@@ -190,8 +190,9 @@ def test_construct_inadmissible_exits_4(tmp_path, capsys):
     [
         ["--periodic", "13"],
         ["--periodic", "2", "--tree-out", "t.json", "--depth", "-3"],
+        ["--periodic", "2", "--steps", "6", "--tree-out", "t.json", "--depth", "0"],
     ],
-    ids=["period-13", "negative-depth"],
+    ids=["period-13", "negative-depth", "zero-depth"],
 )
 def test_dynamics_parameter_error_exits_4(tmp_path, monkeypatch, capsys, extra):
     monkeypatch.chdir(tmp_path)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from steiner_ladder import solver
 from steiner_ladder.analysis import local_min_gradient, maxwell_length, trees_mirror_equal
 from steiner_ladder.errors import DegenerateInputError, ParameterError
 from steiner_ladder.ladder import LadderParams, build_input
@@ -30,7 +31,7 @@ from steiner_ladder.solver import (
 from steiner_ladder.topology import enumerate_full_topologies
 from steiner_ladder.trees import TERMINAL
 
-from oracles import brute_mst_length, fermat_oracle, two_steiner_descent
+from oracles import brute_mst_length, fermat_oracle, minimax_distances, two_steiner_descent
 
 SQRT3 = math.sqrt(3)
 EQUILATERAL = [0, 1, complex(0.5, SQRT3 / 2)]
@@ -267,23 +268,99 @@ def test_component_table_matches_per_topology_scan(make, rng):
             assert all(abs(a - b) <= 1e-12 for a, b in zip(got, want)), f"mask {mask:0{n}b}"
 
 
-@pytest.mark.parametrize("tol", [1e-9, 1e-3])
-@pytest.mark.parametrize("make", ORACLE_SETS)
+def _same_tree(t, u):
+    return (
+        abs(t.length - u.length) <= 1e-12
+        and t.edges == u.edges
+        and len(t.vertices) == len(u.vertices)
+        and all(abs(v - w) <= 1e-9 for v, w in zip(t.vertices, u.vertices))
+    )
+
+
+def _contains(big, small):
+    """Every tree of ``small`` matches its own tree of ``big``."""
+    unused = list(big)
+    for t in small:
+        k = next((k for k, u in enumerate(unused) if _same_tree(t, u)), None)
+        if k is None:
+            return False
+        unused.pop(k)
+    return True
+
+
+def _terminal_edges_pass_bottleneck(tree, idxs, b, keep):
+    """Each terminal edge a-s is no longer than b(a, t) + keep for every other terminal t.
+
+    ``idxs`` are the global indices of the tree's terminals, ``b`` the
+    bottleneck distances of all terminals.
+    """
+    k = len(idxs)
+    for u, v in tree.edges:
+        for a, s in ((u, v), (v, u)):
+            if a < k:
+                cap = min(b[idxs[a]][idxs[t]] for t in range(k) if t != a)
+                if abs(tree.vertices[a] - tree.vertices[s]) > cap + keep - 1e-12:
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.1])
+@pytest.mark.parametrize(
+    "make",
+    [
+        *ORACLE_SETS,
+        # at tol 0.1 a kept tree has a terminal edge longer than its bottleneck
+        # distance by less than keep, which a cap without keep drops
+        pytest.param(
+            lambda rng: [
+                0.51 + 0.6j, 0.3 + 0.93j, 0.73 + 0.76j, 0.46 + 0.84j, 0.73 + 0.59j, 0.11 + 0.45j
+            ],
+            id="edge-near-bottleneck",
+        ),
+    ],
+)
 def test_mst_bound_drops_only_trees_longer_than_the_subset_mst(make, tol, rng):
-    # solve_exact's table keeps, mask for mask, the unbounded table's trees no
-    # longer than the subset's minimum spanning length plus keep
+    # solve_exact's table keeps, mask for mask, at least the unbounded table's
+    # trees that pass both the MST test and the bottleneck test on each of
+    # their terminal edges (the generator checks some terminal edges against
+    # some of the other terminals, never more), and of the trees the unbounded
+    # table can show, at most those that pass the MST test.  With the subset's
+    # shortest tree cut it may keep longer ones, which the unbounded table does
+    # not hold.
     pts, _back = _normalise(tuple(complex(z) for z in make(rng)))
     n = len(pts)
     keep = tol + _SLACK
+    b = minimax_distances(pts)
     free = _full_component_table(pts, keep)
     bounded = _full_component_table(pts, keep, bounded=True)
     assert sorted(bounded) == sorted(free)
     for mask, entries in free.items():
-        mst = minimum_spanning_tree([pts[i] for i in range(n) if mask >> i & 1]).length
-        want = [L for L, _t in entries if L <= mst + keep]
-        got = [L for L, _t in bounded[mask]]
-        assert len(got) == len(want), f"mask {mask:0{n}b}: {got} vs {want}"
-        assert all(abs(a - b) <= 1e-12 for a, b in zip(got, want)), f"mask {mask:0{n}b}"
+        idxs = [i for i in range(n) if mask >> i & 1]
+        mst = minimum_spanning_tree([pts[i] for i in idxs]).length
+        upper = [t for L, t in entries if L <= mst + keep]
+        lower = [t for t in upper if _terminal_edges_pass_bottleneck(t, idxs, b, keep)]
+        shown = entries[0][0] + keep if entries else math.inf
+        got = [t for L, t in bounded[mask] if L <= shown]
+        assert _contains(upper, got), f"mask {mask:0{n}b}: kept a tree the MST test drops"
+        assert _contains(got, lower), f"mask {mask:0{n}b}: dropped a tree both tests keep"
+
+
+def test_bottleneck_cut_is_live(monkeypatch):
+    # solve_exact's memo of the 8-terminal ladder holds fewer merges with the
+    # bottleneck cut than without it, and the co-optima are the same trees
+    memos = []
+    memo = solver._memo
+    monkeypatch.setattr(solver, "_memo", lambda points: memos.append(memo(points)) or memos[-1])
+    pts = _ladder(4, 4)
+    cut = solve_exact(pts)
+    no_cut = [[math.inf] * (1 << len(pts))] * len(pts)
+    monkeypatch.setattr(solver, "_caps", lambda points, keep: no_cut)
+    free = solve_exact(pts)
+    merges = [sum(len(C.alts) for C in m.values()) for m in memos]
+    assert merges[0] < merges[1], merges
+    assert [(t.vertices, t.edges) for t in cut.co_optima] == [
+        (t.vertices, t.edges) for t in free.co_optima
+    ]
 
 
 def _signature(memo, T, alt, cache):
