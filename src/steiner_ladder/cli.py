@@ -213,6 +213,8 @@ def _cmd_region(args) -> int:
     t0 = time.perf_counter()
     rows = []
     na, nl = args.alpha_steps, args.lambda_steps
+    if min(na, nl) < 1:
+        raise ParameterError(f"grid steps must be 1 or more, got {na} and {nl}")
     for i in range(1, na + 1):
         alpha = i * (math.pi / 6) / (na + 1)
         for j in range(1, nl + 1):

@@ -155,6 +155,8 @@ def iterate(p: DynamicsParams, t0: float, n: int, direction: str = FORWARD) -> O
     """Orbit of length up to ``n + 1``; stops early on forbidden hits/escape."""
     if direction not in (FORWARD, INVERSE):
         raise ParameterError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    if n < 0:
+        raise ParameterError(f"the number of steps must be zero or more, got {n}")
     step = forward_map if direction == FORWARD else inverse_map
     values = [min(1.0, max(0.0, t0))]
     status = OK

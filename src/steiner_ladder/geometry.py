@@ -107,10 +107,11 @@ def _outward_equilateral(p: complex, q: complex, opposite: complex) -> complex:
 
 
 def line_intersection(p1: complex, p2: complex, q1: complex, q2: complex) -> complex:
+    """Meeting point of the lines p1 p2 and q1 q2; parallel lines raise at any scale."""
     d1 = p2 - p1
     d2 = q2 - q1
     denom = d1.real * d2.imag - d1.imag * d2.real
-    if abs(denom) < 1e-30:
+    if abs(denom) <= 1e-30 * abs(d1) * abs(d2):
         raise DegenerateInputError("line_intersection: parallel lines")
     w = q1 - p1
     t = (w.real * d2.imag - w.imag * d2.real) / denom

@@ -225,6 +225,8 @@ def svg_render(
     and, when an instance with a family descriptor is given, the angle sides
     and the cross segment in light strokes.
     """
+    if not width > 2 * margin:
+        raise ParameterError(f"width must exceed twice the margin {margin}, got {width}")
     world: list[complex] = []
     if tree is not None:
         world.extend(tree.vertices)

@@ -63,7 +63,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DegenerateInputError, ParameterError
 from .geometry import ROT_LEFT, ROT_RIGHT, SQRT3
-from .topology import MAX_TERMINALS, Topology, iter_full_topologies
+from .topology import MAX_TERMINALS, Topology
 from .trees import STEINER, TERMINAL, EmbeddedTree, as_points
 
 
@@ -142,6 +142,8 @@ def _validate_full_topology(points: Sequence[complex], topo: Topology) -> None:
         raise ParameterError(
             f"topology is on {topo.n_terminals} terminals, got {len(points)} points"
         )
+    if len(points) < 2:
+        raise ParameterError("a full topology has two or more terminals")
     deg = [0] * (topo.n_terminals + topo.n_steiner)
     for u, v in topo.edges:
         deg[u] += 1
@@ -286,8 +288,7 @@ def realize_full_topology(terminals, topo: Topology) -> EmbeddedTree | None:
     reconstructions the shortest is returned (orientation word breaks ties).
     """
     points = as_points(terminals)
-    if len(points) != 2:
-        _validate_full_topology(points, topo)
+    _validate_full_topology(points, topo)
     return _shortest_full_tree(points, topo)
 
 
@@ -306,7 +307,9 @@ def _shortest_full_tree(points, topo: Topology | None) -> EmbeddedTree | None:
     the masks below the top are generated for its merges, but no subset's
     trees are placed.
     """
-    if len(points) == 2:
+    if len(points) == 2:  # two equal terminals have no tree, as three do not
+        if points[0] == points[1]:
+            return None
         return EmbeddedTree.build(points, [TERMINAL, TERMINAL], [(0, 1)])
     unit, back = _normalise(points)
     if topo is None:
@@ -315,27 +318,22 @@ def _shortest_full_tree(points, topo: Topology | None) -> EmbeddedTree | None:
         _rooted_full_trees(unit, _memo(unit), top, _EPS, table)
         kept = table[top | 1]
     else:
-        kept = _subset_full_trees(unit, _EPS, (topo,))[1]
+        kept = _subset_full_trees(unit, _EPS, (topo,))
     return back(kept[0][1]) if kept else None
 
 
 def _subset_full_trees(
-    points: Sequence[complex],
-    keep: float,
-    topos: Iterable[Topology] | None = None,
-) -> tuple[float, list[tuple[float, EmbeddedTree]]]:
-    """Valid full trees on ``points`` within ``keep`` of the shortest one.
+    points: Sequence[complex], keep: float, topos: Iterable[Topology]
+) -> list[tuple[float, EmbeddedTree]]:
+    """Valid full trees of ``topos`` on ``points`` within ``keep`` of the shortest one.
 
-    ``topos`` defaults to streaming every full topology on ``points``, in
-    enumeration order.  Returns ``(best, kept)``: the shortest valid
-    merge length seen and the kept trees in (length, topology number,
+    The trees come as ``(length, tree)`` in (length, position in ``topos``,
     orientation word) order.
     """
     n = len(points)
     out: list = []
     best = math.inf
-    source = topos if topos is not None else iter_full_topologies(n)
-    for key, topo in enumerate(source):
+    for key, topo in enumerate(topos):
         best = _scan_topology(points, topo, key, best, keep, out)
     kept = []
     for L, key, word, final, topo in sorted(
@@ -345,7 +343,7 @@ def _subset_full_trees(
         tree = _tree_from_candidate(verts, n, topo.edges)
         if tree is not None and abs(tree.length - L) <= _SLACK:
             kept.append((L, tree))
-    return best, kept
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +514,7 @@ def _merges(
             turned = [((k << n | k >> 5 * n) & full, (k << 5 * n | k >> n) & full) for k in sc.key]
         bc = _classes(big, points, memo, caps)
         key = None
-        cap = caps[small.bit_length() - 1][big] if caps and not small & (small - 1) else None
+        cap = caps[small.bit_length() - 2][big >> 1] if caps and not small & (small - 1) else None
         for i, (e1, m1, h1) in enumerate(zip(bc.E, bc.mid, bc.half)):
             h1 += _SLACK
             bi = big << _BIG | i << _I
@@ -694,14 +692,17 @@ def _full_component_table(
 
 
 def _caps(points: tuple[complex, ...], keep: float) -> list[list[float]]:
-    """The bottleneck cut of ``_merges``: ``caps[a][mask]`` for a terminal a and a mask.
+    """The bottleneck cut of ``_merges``: ``caps[a - 1][mask >> 1]``.
 
-    b(a, t) is the longest edge on the path from a to t in the minimum
-    spanning tree of all the terminals, and ``caps[a][mask]`` is (min over t
-    in mask of b(a, t) + ``keep``) * sqrt(3)/2.  In a network within ``tol``
-    of the optimum, an edge from a to a branching point s that separates a
-    from t is no longer than b(a, t) + ``tol``: else deleting it and adding
-    the edge of that MST path that joins the two sides is shorter by more.
+    Only terminals a > 0 and masks without terminal 0 have an entry: no mask
+    that ``_merges`` builds holds terminal 0, so it is never a small child or
+    in a big mask.  b(a, t) is the longest edge on the path from a to t in
+    the minimum spanning tree of all the terminals, and the entry of a and a
+    mask is (min over t in mask of b(a, t) + ``keep``) * sqrt(3)/2.  In a
+    network within ``tol`` of the optimum, an edge from a to a branching
+    point s that separates a from t is no longer than b(a, t) + ``tol``: else
+    deleting it and adding the edge of that MST path that joins the two
+    sides is shorter by more.
     Each row doubles once per terminal.
     """
     n = len(points)
@@ -713,10 +714,10 @@ def _caps(points: tuple[complex, ...], keep: float) -> list[list[float]]:
             far[v][t] = far[t][v] = max(far[u][t], w)
         joined.append(v)
     caps = []
-    for a, row_b in enumerate(far):
+    for a, row_b in enumerate(far[1:], 1):
         row_b[a] = math.inf
         row = [math.inf]
-        for b in row_b:  # the masks holding terminal t are those below 2^t, with t added
+        for b in row_b[1:]:  # the masks holding t are those below 2^(t-1), with bit t-1 added
             c = (b + keep) * SQRT3 / 2.0
             row += [x if x < c else c for x in row]
         caps.append(row)

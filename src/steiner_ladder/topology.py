@@ -1,13 +1,14 @@
 """Abstract full Steiner topologies.
 
 Terminals of an ``n``-terminal topology are labelled ``0 .. n-1`` and the
-``n-2`` branching labels are ``n .. 2n-3``.
+``n-2`` branching labels are ``n .. 2n-3``.  The encoding is not canonical:
+renumbering the branching labels gives another encoding of the same
+topology, which realises the same tree.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -40,11 +41,11 @@ def count_full_topologies(n: int) -> int:
 
 
 def iter_full_topologies(n: int) -> Iterator[Topology]:
-    """Yield every full topology on ``n`` terminals, canonically encoded.
+    """Yield every full topology on ``n`` terminals, each exactly once, as it is built.
 
-    Incremental construction: terminal ``k`` is attached by splitting each
-    edge of every topology on ``k`` terminals with a fresh branching label.
-    Each topology is produced exactly once.
+    Branching label ``n`` joins terminals 0, 1 and 2; terminal ``k`` is then
+    attached by splitting each edge of every topology on ``k`` terminals with
+    the fresh label ``n + k - 2``.  Edges are sorted ``(min, max)`` pairs.
     """
     if not 3 <= n <= MAX_TERMINALS:
         raise ParameterError(f"iter_full_topologies requires 3 <= n <= {MAX_TERMINALS}")
@@ -58,39 +59,10 @@ def iter_full_topologies(n: int) -> Iterator[Topology]:
             rest = edges[:i] + edges[i + 1 :]
             yield from grow(rest + [(u, s), (s, v), (k, s)], k + 1)
 
-    base = [(0, n), (1, n), (2, n)]
-    for edge_list in grow(base, 3):
-        yield _canonical(n, edge_list)
+    for edges in grow([(0, n), (1, n), (2, n)], 3):
+        yield Topology(n, n - 2, tuple(sorted((u, v) if u < v else (v, u) for u, v in edges)))
 
 
 def enumerate_full_topologies(n: int) -> list[Topology]:
     """All full topologies on ``n`` terminals (see ``iter_full_topologies``)."""
     return list(iter_full_topologies(n))
-
-
-def _canonical(n: int, edge_list: list[tuple[int, int]]) -> Topology:
-    """Renumber branching labels in BFS order from terminal 0, sort edges."""
-    adj: dict[int, list[int]] = {}
-    for u, v in edge_list:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    relabel: dict[int, int] = {}
-    next_label = n
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        if u >= n and u not in relabel:
-            relabel[u] = next_label
-            next_label += 1
-        for v in sorted(adj[u]):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    out = []
-    for u, v in edge_list:
-        a = relabel.get(u, u)
-        b = relabel.get(v, v)
-        out.append((a, b) if a < b else (b, a))
-    out.sort()
-    return Topology(n, n - 2, tuple(out))

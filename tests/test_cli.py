@@ -191,8 +191,9 @@ def test_construct_inadmissible_exits_4(tmp_path, capsys):
         ["--periodic", "13"],
         ["--periodic", "2", "--tree-out", "t.json", "--depth", "-3"],
         ["--periodic", "2", "--steps", "6", "--tree-out", "t.json", "--depth", "0"],
+        ["--t0", "0.3", "--steps", "-5"],
     ],
-    ids=["period-13", "negative-depth", "zero-depth"],
+    ids=["period-13", "negative-depth", "zero-depth", "negative-steps"],
 )
 def test_dynamics_parameter_error_exits_4(tmp_path, monkeypatch, capsys, extra):
     monkeypatch.chdir(tmp_path)
@@ -202,6 +203,25 @@ def test_dynamics_parameter_error_exits_4(tmp_path, monkeypatch, capsys, extra):
     assert code == 4
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["region", "--alpha-steps", "-3"],
+        ["render", "{tree}", "--width", "0"],
+    ],
+    ids=["region-negative-steps", "render-zero-width"],
+)
+def test_nonpositive_size_exits_4(tmp_path, capsys, argv):
+    tree = tmp_path / "t.json"
+    tree.write_text(tree_to_json(EmbeddedTree.build([0, 1], [TERMINAL, TERMINAL], [(0, 1)])))
+    out = tmp_path / "out"
+    code = main([a.format(tree=tree) for a in argv] + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert not out.exists()
 
 
 def test_dynamics_deep_periodic_tree(tmp_path, capsys):

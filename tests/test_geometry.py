@@ -112,6 +112,15 @@ def test_fermat_wide_angle_returns_vertex():
     assert p == 0
 
 
+@pytest.mark.parametrize("s", [1e-20, 1.0, 1e20])
+def test_fermat_point_is_scale_free(s):
+    # the parallel-line test of the Simpson-line intersection scales with the triangle
+    unit, _ = fermat_point(0, 1, 0.5 + 1j)
+    p, kind = fermat_point(0, s, s * (0.5 + 1j))
+    assert kind == "interior"
+    assert abs(complex(p) / s - complex(unit)) < 1e-12
+
+
 def test_fermat_interior_sees_equal_angles(rng):
     found = 0
     while found < 50:

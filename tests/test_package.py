@@ -1,6 +1,9 @@
-"""The package's export list matches the names it binds."""
+"""The package's export list matches the names it binds, and it needs only the stdlib."""
 
+import ast
+import sys
 import types
+from pathlib import Path
 
 import steiner_ladder
 
@@ -15,3 +18,23 @@ def test_all_lists_exactly_the_public_names():
         if not name.startswith("_") and not isinstance(obj, types.ModuleType)
     }
     assert public == set(exported)
+
+
+def test_runtime_imports_only_the_standard_library():
+    # pyproject.toml declares no dependencies; every absolute import must be stdlib
+    src = Path(steiner_ladder.__file__).parent
+    foreign = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [
+                f"{path.name}: {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert foreign == []

@@ -28,7 +28,7 @@ from steiner_ladder.solver import (
     solve_exact,
     steiner_ratio,
 )
-from steiner_ladder.topology import enumerate_full_topologies
+from steiner_ladder.topology import Topology, enumerate_full_topologies, iter_full_topologies
 from steiner_ladder.trees import TERMINAL
 
 from oracles import brute_mst_length, fermat_oracle, minimax_distances, two_steiner_descent
@@ -72,12 +72,53 @@ def test_realize_infeasible_returns_none():
     # coincident terminals have no span to normalise by
     assert realize_full_topology([1, 1, 1], topo) is None
     assert minimal_full_tree([1, 1, 1]) is None
+    # two equal terminals have no tree either; two 1e-13 apart have one
+    segment = Topology(2, 0, ((0, 1),))
+    assert realize_full_topology([1, 1], segment) is None
+    assert minimal_full_tree([1, 1]) is None
+    assert minimal_full_tree([1, 1 + 1e-13]).length == pytest.approx(1e-13, rel=1e-3)
 
 
 def test_realize_validates_topology():
     topo3 = enumerate_full_topologies(3)[0]
     with pytest.raises(ParameterError):
         realize_full_topology(SQUARE, topo3)
+    # two points get the same checks as more
+    with pytest.raises(ParameterError):
+        realize_full_topology([0, 1], topo3)
+    with pytest.raises(ParameterError):
+        realize_full_topology([0, 1], Topology(2, 0, ((0, 0),)))
+    with pytest.raises(ParameterError):
+        realize_full_topology([], Topology(0, 0, ()))
+
+
+def _same_vertex_set(t, u, tol):
+    return len(t.vertices) == len(u.vertices) and all(
+        min(abs(v - w) for w in b.vertices) <= tol for a, b in ((t, u), (u, t)) for v in a.vertices
+    )
+
+
+def test_branching_labels_do_not_change_the_realised_tree(rng):
+    realised = 0
+    for n in (4, 5, 6):
+        for _ in range(3):
+            pts = [  # a perturbed convex n-gon, on which many topologies are feasible
+                cmath.rect(rng.uniform(0.9, 1.1), 2 * math.pi * (k + rng.uniform(-0.2, 0.2)) / n)
+                for k in range(n)
+            ]
+            for topo in enumerate_full_topologies(n):
+                labels = list(range(n, 2 * n - 2))
+                rng.shuffle(labels)
+                new = dict(zip(range(n, 2 * n - 2), labels))
+                edges = [tuple(sorted((new.get(u, u), new.get(v, v)))) for u, v in topo.edges]
+                tree = realize_full_topology(pts, topo)
+                other = realize_full_topology(pts, Topology(n, n - 2, tuple(sorted(edges))))
+                assert (tree is None) == (other is None)
+                if tree is not None:
+                    realised += 1
+                    assert abs(tree.length - other.length) <= 1e-12
+                    assert _same_vertex_set(tree, other, 1e-12)
+    assert realised >= 30, realised
 
 
 def test_realized_trees_have_steiner_angles_and_maxwell(rng):
@@ -261,7 +302,7 @@ def test_component_table_matches_per_topology_scan(make, rng):
     for size in range(3, n + 1):
         for idxs in itertools.combinations(range(n), size):
             mask = sum(1 << i for i in idxs)
-            _best, kept = _subset_full_trees(tuple(pts[i] for i in idxs), keep)
+            kept = _subset_full_trees(tuple(pts[i] for i in idxs), keep, iter_full_topologies(size))
             got = [L for L, _t in table[mask]]
             want = [L for L, _t in kept]
             assert len(got) == len(want), f"mask {mask:0{n}b}: {got} vs {want}"
