@@ -19,9 +19,8 @@ from .geometry import (
     convex_hull,
     point_in_hull,
     point_segment_distance,
-    reflect_across,
 )
-from .trees import TERMINAL, EmbeddedTree
+from .trees import TERMINAL, EmbeddedTree, reflect_tree
 
 FULL = "full"
 FULL_STAR = "full*"
@@ -29,6 +28,7 @@ NEITHER = "neither"
 
 ANGLE_TOL = 1e-9
 WIND_ROSE_TOL = 1e-6
+SAMPLES_PER_EDGE = 9  # segments each edge is cut into by the sampled Hausdorff gaps
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def _vertex_angles(tree: EmbeddedTree) -> list[list[float]]:
     return out
 
 
-def classify(tree: EmbeddedTree, angle_tol: float = ANGLE_TOL) -> str:
+def classify(tree: EmbeddedTree) -> str:
     """``full`` / ``full*`` / ``neither`` by angle inspection.
 
     full*: connected, acyclic, and every convex angle between edges sharing a
@@ -85,13 +85,13 @@ def classify(tree: EmbeddedTree, angle_tol: float = ANGLE_TOL) -> str:
         return NEITHER
     for angles in _vertex_angles(tree):
         for ang in angles:
-            if abs(ang - TWO_THIRDS_PI) > angle_tol:
+            if abs(ang - TWO_THIRDS_PI) > ANGLE_TOL:
                 return NEITHER
     return FULL if all(d != 2 for d in deg) else FULL_STAR
 
 
-def wind_rose(tree: EmbeddedTree, tol: float = WIND_ROSE_TOL) -> WindRose:
-    """Cluster edge directions modulo pi with the given angular tolerance."""
+def wind_rose(tree: EmbeddedTree) -> WindRose:
+    """Cluster edge directions modulo pi within ``WIND_ROSE_TOL`` radians."""
     angles = []
     for u, v in tree.edges:
         d = tree.vertices[v] - tree.vertices[u]
@@ -101,7 +101,7 @@ def wind_rose(tree: EmbeddedTree, tol: float = WIND_ROSE_TOL) -> WindRose:
     angles.sort()
     reps: list[float] = []
     for ang in angles:
-        if any(_mod_pi_gap(ang, r) <= tol for r in reps):
+        if any(_mod_pi_gap(ang, r) <= WIND_ROSE_TOL for r in reps):
             continue
         reps.append(ang)
     return WindRose(tuple(sorted(reps)))
@@ -232,12 +232,12 @@ def block_decompose(tree: EmbeddedTree) -> list[EmbeddedTree]:
     return blocks
 
 
-def _sample_segments(tree: EmbeddedTree, per_edge: int = 9) -> list[complex]:
+def _sample_segments(tree: EmbeddedTree) -> list[complex]:
     pts: list[complex] = []
     for u, v in tree.edges:
         a, b = tree.vertices[u], tree.vertices[v]
-        for k in range(per_edge + 1):
-            pts.append(a + (b - a) * (k / per_edge))
+        for k in range(SAMPLES_PER_EDGE + 1):
+            pts.append(a + (b - a) * (k / SAMPLES_PER_EDGE))
     return pts
 
 
@@ -247,10 +247,10 @@ def distance_to_tree(z: complex, tree: EmbeddedTree) -> float:
     )
 
 
-def hausdorff_gap(t1: EmbeddedTree, t2: EmbeddedTree, per_edge: int = 9) -> float:
+def hausdorff_gap(t1: EmbeddedTree, t2: EmbeddedTree) -> float:
     """Symmetric sampled Hausdorff distance between two trees."""
-    d1 = max(distance_to_tree(z, t2) for z in _sample_segments(t1, per_edge))
-    d2 = max(distance_to_tree(z, t1) for z in _sample_segments(t2, per_edge))
+    d1 = max(distance_to_tree(z, t2) for z in _sample_segments(t1))
+    d2 = max(distance_to_tree(z, t1) for z in _sample_segments(t2))
     return max(d1, d2)
 
 
@@ -262,12 +262,7 @@ def trees_mirror_equal(
     tol: float = 1e-8,
 ) -> bool:
     """True when t1 reflected across the axis coincides with t2 within ``tol``."""
-    reflected = EmbeddedTree.build(
-        [reflect_across(v, axis_point, axis_angle) for v in t1.vertices],
-        t1.roles,
-        t1.edges,
-    )
-    return hausdorff_gap(reflected, t2) <= tol
+    return hausdorff_gap(reflect_tree(t1, axis_point, axis_angle), t2) <= tol
 
 
 def clip_to_wedge(

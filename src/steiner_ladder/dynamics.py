@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .errors import EscapeError, ForbiddenPointError, ParameterError
 from .geometry import SQRT3, HexFrame, line_intersection
-from .ladder import LadderParams, bisector_abscissa, condition_holds
+from .ladder import LadderParams, _require_condition, bisector_abscissa
 from .trees import STEINER, TERMINAL, EmbeddedTree
 
 OK = "ok"
@@ -98,9 +98,8 @@ def derive_params(alpha: float, lam: float, beta: float) -> DynamicsParams:
     The frame is oriented so that ``b >= a``; the sign of ``beta`` is folded
     away (the two signs give mirror-image networks).
     """
-    if not condition_holds(alpha, lam):
-        raise ParameterError(f"(alpha={alpha}, lam={lam}) violate the admissibility condition")
-    if abs(beta) > alpha + 1e-15:
+    _require_condition(alpha, lam)
+    if not abs(beta) <= alpha + 1e-15:
         raise ParameterError(f"|beta| must not exceed alpha, got beta={beta}, alpha={alpha}")
     beta = abs(beta)
     frame = HexFrame.from_axis(-beta)
@@ -157,6 +156,8 @@ def iterate(p: DynamicsParams, t0: float, n: int, direction: str = FORWARD) -> O
         raise ParameterError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     if n < 0:
         raise ParameterError(f"the number of steps must be zero or more, got {n}")
+    if not -_BOUNDARY_TOL <= t0 <= 1.0 + _BOUNDARY_TOL:
+        raise ParameterError(f"the start t0 must lie in [0, 1], got {t0}")
     step = forward_map if direction == FORWARD else inverse_map
     values = [min(1.0, max(0.0, t0))]
     status = OK

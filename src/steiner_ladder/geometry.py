@@ -128,12 +128,12 @@ class HexFrame:
 
     def __post_init__(self) -> None:
         for e in (self.e1, self.e2, self.e3):
-            if abs(abs(e) - 1.0) > 1e-12:
+            if not abs(abs(e) - 1.0) <= 1e-12:
                 raise ParameterError(f"frame vector {e!r} is not unit length")
-        if abs(self.e1 + self.e2 + self.e3) > 1e-12:
+        if not abs(self.e1 + self.e2 + self.e3) <= 1e-12:
             raise ParameterError("frame vectors do not sum to zero")
         cross = self.e1.real * self.e2.imag - self.e1.imag * self.e2.real
-        if cross <= 0:
+        if not cross > 0:
             raise ParameterError("frame is not counter-clockwise oriented")
 
     @classmethod

@@ -21,18 +21,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+from .analysis import _sample_segments, distance_to_tree
 from .errors import ParameterError
 from .geometry import SQRT3, Point, line_intersection
 from .solver import minimal_full_tree
-from .trees import (
-    STEINER,
-    TERMINAL,
-    EmbeddedTree,
-    TerminalSet,
-    merge_trees,
-    reflect_tree,
-    scale_tree,
-)
+from .trees import STEINER, TERMINAL, EmbeddedTree, TerminalSet, merge_trees, scale_tree
 
 UPPER = "upper"
 LOWER = "lower"
@@ -74,12 +67,7 @@ def _require_condition(alpha: float, lam: float) -> None:
 
 def separation_gap(alpha: float, lam: float) -> float:
     """Slack of the separation inequality used by the cross-segment bound."""
-    return (
-        math.cos(alpha) / lam
-        - math.sin(alpha) / (SQRT3 * lam)
-        - math.cos(alpha)
-        - SQRT3 * math.sin(alpha) / (1.0 - lam)
-    )
+    return bisector_abscissa(alpha, lam) - math.cos(alpha) - SQRT3 * math.sin(alpha) / (1.0 - lam)
 
 
 def separation_predicate(alpha: float, lam: float) -> bool:
@@ -146,11 +134,7 @@ def closed_form_length_A1(alpha: float, lam: float) -> float:
 def closed_form_length_A0(alpha: float, lam: float) -> float:
     """Length of the optimal infinite network for the A0 family."""
     _require_condition(alpha, lam)
-    return (
-        math.cos(alpha) / lam
-        - math.sin(alpha) / (SQRT3 * lam)
-        + SQRT3 * math.sin(alpha) / (1.0 - lam)
-    )
+    return bisector_abscissa(alpha, lam) + SQRT3 * math.sin(alpha) / (1.0 - lam)
 
 
 def x_offset(alpha: float, lam: float) -> float:
@@ -189,28 +173,20 @@ def length_by_J(alpha: float, lam: float, J: Iterable[int], K: int) -> float:
 
 @functools.lru_cache(maxsize=32)
 def _five_block(alpha: float, lam: float) -> EmbeddedTree:
-    """Unique optimal full tree on {A1, A2, A3, B1, B2}; entry tripod below axis."""
-    pts = [
-        terminal_a(alpha, lam, 1),
-        terminal_a(alpha, lam, 2),
-        terminal_a(alpha, lam, 3),
-        terminal_b(alpha, lam, 1),
-        terminal_b(alpha, lam, 2),
-    ]
+    """Unique optimal full tree on A1, A2, A3, B1, B2, its vertices 0..4 in that order.
+
+    The chain needs the entry tripod, the branching point joining A1 and B1,
+    on or below the bisector.
+    """
+    pts = [terminal_a(alpha, lam, k) for k in (1, 2, 3)]
+    pts += [terminal_b(alpha, lam, k) for k in (1, 2)]
     tree = minimal_full_tree(pts)
     if tree is None:
         raise ParameterError("no full tree exists on the 5-terminal block")
-    return tree
-
-
-def _entry_tripod_imag(tree: EmbeddedTree) -> float:
-    """Imaginary part of the branching point adjacent to both unit terminals."""
     adj = tree.adjacency()
-    units = [i for i, v in enumerate(tree.vertices) if abs(abs(v) - 1.0) < 1e-9]
-    for i, r in enumerate(tree.roles):
-        if r == STEINER and all(u in adj[i] for u in units):
-            return tree.vertices[i].imag
-    raise ParameterError("block has no branching point joining the unit terminals")
+    if not any(tree.vertices[s].imag <= 0 for s in set(adj[0]) & set(adj[3])):
+        raise ParameterError("no branching point joins A1 and B1 on or below the bisector")
+    return tree
 
 
 def parse_word(word) -> tuple[int, ...]:
@@ -232,10 +208,14 @@ def build_ladder_tree_A1(params: LadderParams, word) -> EmbeddedTree:
     """Chain of rescaled 5-terminal blocks for the A1 family.
 
     Depth ``K`` must be odd; the chain has ``(K-1)//2`` blocks, one word bit
-    each.  Bit 0 keeps the block whose entry tripod lies below the bisector,
-    bit 1 mirrors the block across it.  Consecutive blocks share one terminal
-    of degree 2 (the hinge), on the A side below an unmirrored block and on
-    the B side below a mirrored one.
+    each.  Block j spans levels 2j + 1..2j + 3: its terminals are the lattice
+    points A, B at those levels (three on the A side, two on the B side, the
+    sides swapped for bit 1) and its branching points are those of the unit
+    block scaled by ``lam**(2j)`` (conjugated for bit 1).  Bit 0 keeps the
+    entry tripod below the bisector, bit 1 mirrors the block across it.
+    Consecutive blocks share one terminal of degree 2 (the hinge), on the A
+    side below an unmirrored block and on the B side below a mirrored one;
+    both blocks compute it from its level, so ``merge_trees`` fuses it.
     """
     alpha, lam, K = params.alpha, params.lam, params.depth
     _require_condition(alpha, lam)
@@ -247,33 +227,16 @@ def build_ladder_tree_A1(params: LadderParams, word) -> EmbeddedTree:
             f"word length must be (depth-1)//2 = {(K - 1) // 2}, got {len(bits)}"
         )
     base = _five_block(alpha, lam)
-    if _entry_tripod_imag(base) > 0:
-        base = reflect_tree(base)
-    mirrored = reflect_tree(base)
     blocks = []
     for j, bit in enumerate(bits):
-        shape = mirrored if bit else base
-        block = scale_tree(shape, lam ** (2 * j))
-        blocks.append(_snap_terminals(block, alpha, lam))
+        three, two = (terminal_b, terminal_a) if bit else (terminal_a, terminal_b)
+        terminals = [three(alpha, lam, 2 * j + k) for k in (1, 2, 3)]
+        terminals += [two(alpha, lam, 2 * j + k) for k in (1, 2)]
+        steiner = [lam ** (2 * j) * z for z in base.vertices[5:]]
+        if bit:
+            steiner = [z.conjugate() for z in steiner]
+        blocks.append(EmbeddedTree.build(terminals + steiner, base.roles, base.edges))
     return merge_trees(blocks)
-
-
-def _snap_terminals(tree: EmbeddedTree, alpha: float, lam: float) -> EmbeddedTree:
-    """Snap terminal vertices onto the exact ladder lattice points.
-
-    Scaled copies would otherwise disagree in the last ulp at shared hinges,
-    which ``merge_trees`` identifies by exact equality.
-    """
-    verts = list(tree.vertices)
-    for i, role in enumerate(tree.roles):
-        if role != TERMINAL:
-            continue
-        r = abs(verts[i])
-        k = round(math.log(r) / math.log(lam)) + 1
-        exact = lam ** (k - 1) * cmath.exp(1j * math.copysign(alpha, verts[i].imag))
-        if abs(exact - verts[i]) < 1e-9 * r:
-            verts[i] = exact
-    return EmbeddedTree.build(verts, tree.roles, tree.edges)
 
 
 def build_ladder_tree_A0(params: LadderParams, side: str = UPPER) -> EmbeddedTree:
@@ -286,8 +249,6 @@ def build_ladder_tree_A0(params: LadderParams, side: str = UPPER) -> EmbeddedTre
     """
     alpha, lam, K = params.alpha, params.lam, params.depth
     _require_condition(alpha, lam)
-    if side not in (UPPER, LOWER):
-        raise ParameterError(f"side must be 'upper' or 'lower', got {side!r}")
 
     sin_a = math.sin(alpha)
     cos_a = math.cos(alpha)
@@ -365,22 +326,14 @@ def self_similarity_defect(
     ratio: float,
     center: complex = 0j,
     min_radius: float = 0.0,
-    per_edge: int = 9,
 ) -> float:
     """One-sided Hausdorff gap from the scaled tree to the original.
 
     Sample points of the scaled tree closer than ``min_radius`` to the centre
     are ignored, which masks the truncation tail of finite-depth networks.
     """
-    from .analysis import distance_to_tree
-
-    scaled = scale_tree(tree, ratio, center)
-    worst = 0.0
-    for u, v in scaled.edges:
-        a, b = scaled.vertices[u], scaled.vertices[v]
-        for k in range(per_edge + 1):
-            z = a + (b - a) * (k / per_edge)
-            if abs(z - center) < min_radius:
-                continue
-            worst = max(worst, distance_to_tree(z, tree))
-    return worst
+    samples = _sample_segments(scale_tree(tree, ratio, center))
+    return max(
+        (distance_to_tree(z, tree) for z in samples if abs(z - center) >= min_radius),
+        default=0.0,
+    )

@@ -21,6 +21,7 @@ from .geometry import Point
 
 INSTANCE_SCHEMA = "steiner-ladder/instance-v1"
 TREE_SCHEMA = "steiner-ladder/tree-v1"
+SVG_MARGIN = 40.0  # blank border around the drawing, in pixels
 
 
 class InstanceFormatError(ValueError):
@@ -218,15 +219,14 @@ def svg_render(
     tree: EmbeddedTree | None,
     instance: TerminalSet | None = None,
     width: int = 800,
-    margin: float = 40.0,
 ) -> str:
     """Deterministic standalone SVG: tree edges, terminal/branch dots,
 
     and, when an instance with a family descriptor is given, the angle sides
     and the cross segment in light strokes.
     """
-    if not width > 2 * margin:
-        raise ParameterError(f"width must exceed twice the margin {margin}, got {width}")
+    if not width > 2 * SVG_MARGIN:
+        raise ParameterError(f"width must exceed twice the margin {SVG_MARGIN}, got {width}")
     world: list[complex] = []
     if tree is not None:
         world.extend(tree.vertices)
@@ -242,13 +242,13 @@ def svg_render(
     xs = [z.real for z in world]
     ys = [z.imag for z in world]
     span = max(max(xs) - min(xs), max(ys) - min(ys)) or 1.0
-    scale = (width - 2 * margin) / span
-    height = int(round((max(ys) - min(ys)) * scale + 2 * margin)) or width
+    scale = (width - 2 * SVG_MARGIN) / span
+    height = int(round((max(ys) - min(ys)) * scale + 2 * SVG_MARGIN)) or width
 
     def map_pt(z: complex) -> tuple[float, float]:
         return (
-            margin + (z.real - min(xs)) * scale,
-            height - margin - (z.imag - min(ys)) * scale,
+            SVG_MARGIN + (z.real - min(xs)) * scale,
+            height - SVG_MARGIN - (z.imag - min(ys)) * scale,
         )
 
     def c6(v: float) -> str:

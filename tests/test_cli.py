@@ -192,8 +192,12 @@ def test_construct_inadmissible_exits_4(tmp_path, capsys):
         ["--periodic", "2", "--tree-out", "t.json", "--depth", "-3"],
         ["--periodic", "2", "--steps", "6", "--tree-out", "t.json", "--depth", "0"],
         ["--t0", "0.3", "--steps", "-5"],
+        ["--t0", "nan"],
+        ["--t0", "7"],
+        ["--beta", "nan", "--t0", "0.3"],
     ],
-    ids=["period-13", "negative-depth", "zero-depth", "negative-steps"],
+    ids=["period-13", "negative-depth", "zero-depth", "negative-steps", "t0-nan", "t0-above-one",
+         "beta-nan"],
 )
 def test_dynamics_parameter_error_exits_4(tmp_path, monkeypatch, capsys, extra):
     monkeypatch.chdir(tmp_path)

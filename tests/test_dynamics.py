@@ -142,6 +142,22 @@ def test_iterate_stops_on_forbidden_and_escape(p0):
     assert escaped.status == ESCAPED
 
 
+@pytest.mark.parametrize("t0", [math.nan, 7.0, -0.5, math.inf, -math.inf])
+def test_iterate_rejects_a_start_outside_the_unit_interval(p0, t0):
+    with pytest.raises(ParameterError):
+        iterate(p0, t0, 3, "inverse")
+
+
+def test_iterate_clamps_a_start_within_the_boundary_tolerance(p0):
+    assert iterate(p0, 1.0 + 1e-13, 0).values == (1.0,)
+    assert iterate(p0, -1e-13, 0).values == (0.0,)
+
+
+def test_derive_params_rejects_a_nan_beta():
+    with pytest.raises(ParameterError):
+        derive_params(ALPHA, LAM, math.nan)
+
+
 def test_iterate_inverse_stays_in_unit_interval(p_tilt, rng):
     for _ in range(20):
         orbit = iterate(p_tilt, rng.random(), 500, "inverse")

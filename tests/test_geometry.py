@@ -145,6 +145,14 @@ def test_hex_frame_invariants():
         HexFrame(1, 1j, -1 - 1j)  # not unit / not ccw structure
 
 
+def test_hex_frame_rejects_nan():
+    f = HexFrame.from_axis(0.0)
+    with pytest.raises(ParameterError):
+        HexFrame.from_axis(math.nan)
+    with pytest.raises(ParameterError):
+        HexFrame(complex(math.nan, 0.0), f.e2, f.e3)
+
+
 def test_hex_matches_linear_solve_oracle(rng):
     for axis in (0.0, -0.11, 0.37):
         f = HexFrame.from_axis(axis)

@@ -6,9 +6,11 @@ from steiner_ladder.analysis import (
     block_decompose,
     classify,
     maxwell_length,
+    trees_mirror_equal,
     validate_steiner_geometry,
     wind_rose,
 )
+from steiner_ladder import ladder
 from steiner_ladder.errors import ParameterError
 from steiner_ladder.geometry import angle_at
 from steiner_ladder.ladder import (
@@ -25,11 +27,13 @@ from steiner_ladder.ladder import (
     length_by_J,
     segment_radius,
     self_similarity_defect,
+    terminal_a,
+    terminal_b,
     x_offset,
     x_point,
 )
 from steiner_ladder.solver import solve_exact
-from steiner_ladder.trees import TERMINAL, scale_tree
+from steiner_ladder.trees import STEINER, TERMINAL, reflect_tree, scale_tree
 
 ALPHA = math.pi / 36
 LAM = 0.5
@@ -242,6 +246,46 @@ def test_a1_deep_chain_keeps_every_vertex(word):
     blocks = block_decompose(tree)
     assert len(blocks) == 20
     assert all(classify(block) == "full" for block in blocks)
+    _assert_terminals_on_the_lattice(tree, ALPHA, LAM, 41)
+
+
+@pytest.mark.parametrize("alpha,lam", [(math.pi / 20, 0.3), (math.pi / 10, 0.05)])
+def test_a1_terminals_are_lattice_points_at_other_ratios(alpha, lam):
+    # lam = 1/2 scales exactly in binary; these ratios do not
+    for word in ("0" * 20, "1" * 20, "01" * 10):
+        tree = build_ladder_tree_A1(LadderParams(alpha, lam, 41), word)
+        assert len(tree.vertices) == 141
+        _assert_terminals_on_the_lattice(tree, alpha, lam, 41)
+
+
+def _assert_terminals_on_the_lattice(tree, alpha, lam, depth):
+    """Every terminal equals a lattice point to the last bit, so the hinges fused."""
+    lattice = [f(alpha, lam, k) for f in (terminal_a, terminal_b) for k in range(1, depth + 1)]
+    terminals = [tree.vertices[i] for i in tree.terminal_indices()]
+    assert len(terminals) == 2 * depth - 1
+    assert all(any(z == p for p in lattice) for z in terminals)
+
+
+def test_entry_point_makes_the_ladder_one_full_tree():
+    # X + {A1..Ak, B1..Bk}: one optimum, a single full tree, which tends to the
+    # A0 network as k grows; the gap shrinks by about lam per level
+    ref = build_ladder_tree_A0(LadderParams(ALPHA, LAM, 30), "upper")
+    gaps = []
+    for k in (2, 3, 4):
+        rungs = [f(ALPHA, LAM, j) for f in (terminal_a, terminal_b) for j in range(1, k + 1)]
+        trees = {}
+        for side in ("upper", "lower") if k < 4 else ("upper",):
+            sol = solve_exact([x_point(ALPHA, LAM, side), *rungs], tol=1e-8)
+            assert len(sol.co_optima) == 1, (k, side)
+            trees[side] = tree = sol.best
+            assert len(block_decompose(tree)) == 1 and classify(tree) == "full", (k, side)
+        if k < 4:
+            assert trees_mirror_equal(trees["upper"], trees["lower"], tol=1e-9)
+        tree = trees["upper"]
+        steiner = [z for z, r in zip(tree.vertices, tree.roles) if r == STEINER]
+        gaps.append(max(min(abs(z - w) for w in ref.vertices) for z in steiner))
+    assert gaps[0] < 0.05
+    assert all(b <= 1.1 * LAM * a for a, b in zip(gaps, gaps[1:])), gaps
 
 
 def test_a1_word_mirror_invariance():
@@ -262,6 +306,17 @@ def test_a1_blocks_have_three_direction_wind_rose():
     for word in ("0000", "0110"):
         for block in block_decompose(build_ladder_tree_A1(params, word)):
             assert len(wind_rose(block).directions) == 3
+
+
+def test_a1_block_with_its_entry_tripod_above_the_bisector_is_refused(monkeypatch):
+    solve = ladder.minimal_full_tree
+    monkeypatch.setattr(ladder, "minimal_full_tree", lambda pts: reflect_tree(solve(pts)))
+    ladder._five_block.cache_clear()
+    try:
+        with pytest.raises(ParameterError, match="below the bisector"):
+            build_ladder_tree_A1(LadderParams(ALPHA, LAM, 5), "00")
+    finally:
+        ladder._five_block.cache_clear()
 
 
 def test_a1_word_validation():
