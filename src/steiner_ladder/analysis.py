@@ -20,7 +20,7 @@ from .geometry import (
     point_in_hull,
     point_segment_distance,
 )
-from .trees import TERMINAL, EmbeddedTree, reflect_tree
+from .trees import TERMINAL, EmbeddedTree, reflect_tree, scale_tree
 
 FULL = "full"
 FULL_STAR = "full*"
@@ -29,6 +29,7 @@ NEITHER = "neither"
 ANGLE_TOL = 1e-9
 WIND_ROSE_TOL = 1e-6
 SAMPLES_PER_EDGE = 9  # segments each edge is cut into by the sampled Hausdorff gaps
+WEDGE_TOL = 1e-9  # pieces shorter than this, or this far off line, do not split a wedge cut
 
 
 @dataclass(frozen=True)
@@ -254,6 +255,24 @@ def hausdorff_gap(t1: EmbeddedTree, t2: EmbeddedTree) -> float:
     return max(d1, d2)
 
 
+def self_similarity_defect(
+    tree: EmbeddedTree,
+    ratio: float,
+    center: complex = 0j,
+    min_radius: float = 0.0,
+) -> float:
+    """One-sided Hausdorff gap from the scaled tree to the original.
+
+    Sample points of the scaled tree closer than ``min_radius`` to the centre
+    are ignored, which masks the truncation tail of finite-depth networks.
+    """
+    samples = _sample_segments(scale_tree(tree, ratio, center))
+    return max(
+        (distance_to_tree(z, tree) for z in samples if abs(z - center) >= min_radius),
+        default=0.0,
+    )
+
+
 def trees_mirror_equal(
     t1: EmbeddedTree,
     t2: EmbeddedTree,
@@ -300,39 +319,28 @@ def clip_to_wedge(
     return out
 
 
-def wedge_intersection_is_segment(
-    tree: EmbeddedTree,
-    apex: complex,
-    bisector_angle: float,
-    half_angle: float = math.pi / 3,
-    tol: float = 1e-9,
-) -> bool:
-    """True when the tree meets the wedge in a single segment or not at all."""
-    pieces = clip_to_wedge(tree, apex, bisector_angle, half_angle)
-    pieces = [(a, b) for a, b in pieces if abs(b - a) > tol]
+def wedge_intersection_is_segment(tree: EmbeddedTree, apex: complex, bisector_angle: float) -> bool:
+    """True when the tree meets the 120-degree wedge in a single segment or not at all."""
+    pieces = clip_to_wedge(tree, apex, bisector_angle, math.pi / 3)
+    pieces = [(a, b) for a, b in pieces if abs(b - a) > WEDGE_TOL]
     if len(pieces) <= 1:
         return True
-    d0 = pieces[0][1] - pieces[0][0]
-    d0 /= abs(d0)
-    scale = max(abs(b - a) for a, b in pieces)
+    origin, end = pieces[0]
+    turn = (end - origin).conjugate() / abs(end - origin)  # first piece onto the real axis
+    slack = WEDGE_TOL * (1.0 + max(abs(b - a) for a, b in pieces))
+    # each piece in coordinates along (real) and across (imag) the first one;
+    # they must all be collinear and their intervals along it contiguous
+    spans = []
     for a, b in pieces:
-        for z in (a, b):
-            w = z - pieces[0][0]
-            if abs(w.real * d0.imag - w.imag * d0.real) > tol * (1.0 + scale):
-                return False
-    # collinear; require the union of parameter intervals to be contiguous
-    intervals = sorted(
-        (
-            min((a - pieces[0][0]).real * d0.real + (a - pieces[0][0]).imag * d0.imag,
-                (b - pieces[0][0]).real * d0.real + (b - pieces[0][0]).imag * d0.imag),
-            max((a - pieces[0][0]).real * d0.real + (a - pieces[0][0]).imag * d0.imag,
-                (b - pieces[0][0]).real * d0.real + (b - pieces[0][0]).imag * d0.imag),
-        )
-        for a, b in pieces
-    )
-    cur = intervals[0][1]
-    for lo, hi in intervals[1:]:
-        if lo > cur + tol * (1.0 + scale):
+        wa = (a - origin) * turn
+        wb = (b - origin) * turn
+        if max(abs(wa.imag), abs(wb.imag)) > slack:
+            return False
+        spans.append((min(wa.real, wb.real), max(wa.real, wb.real)))
+    spans.sort()
+    cur = spans[0][1]
+    for lo, hi in spans[1:]:
+        if lo > cur + slack:
             return False
         cur = max(cur, hi)
     return True

@@ -14,11 +14,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import EscapeError, ForbiddenPointError, ParameterError
 from .geometry import SQRT3, HexFrame, line_intersection
-from .ladder import LadderParams, _require_condition, bisector_abscissa
+from .ladder import LadderParams, bisector_abscissa, require_condition
 from .trees import STEINER, TERMINAL, EmbeddedTree
 
 OK = "ok"
@@ -72,13 +71,12 @@ class Orbit:
             raise ParameterError("orbit values must lie in [0, 1]")
 
 
-def _unit_corners(alpha: float, frame: HexFrame) -> tuple[complex, complex, complex, complex]:
-    """Corners (A, U, B, V) of the unit-level rhombus in the given frame."""
+def _unit_corners(alpha: float, frame: HexFrame) -> tuple[complex, complex, complex]:
+    """Corners A, U, B of the unit-level rhombus in the given frame."""
     a1 = cmath.exp(1j * alpha)
     b1 = cmath.exp(-1j * alpha)
     u1 = line_intersection(a1, a1 + frame.e2, b1, b1 + frame.e3)
-    v1 = a1 + b1 - u1
-    return a1, u1, b1, v1
+    return a1, u1, b1
 
 
 def _hex_uv(z: complex, frame: HexFrame) -> tuple[float, float]:
@@ -98,12 +96,12 @@ def derive_params(alpha: float, lam: float, beta: float) -> DynamicsParams:
     The frame is oriented so that ``b >= a``; the sign of ``beta`` is folded
     away (the two signs give mirror-image networks).
     """
-    _require_condition(alpha, lam)
+    require_condition(alpha, lam)
     if not abs(beta) <= alpha + 1e-15:
         raise ParameterError(f"|beta| must not exceed alpha, got beta={beta}, alpha={alpha}")
     beta = abs(beta)
     frame = HexFrame.from_axis(-beta)
-    a1, u1, b1, _v1 = _unit_corners(alpha, frame)
+    a1, u1, b1 = _unit_corners(alpha, frame)
     b = abs(a1 - u1) / 2.0
     a = abs(b1 - u1) / 2.0
     l, delta = _hex_uv((a1 + b1) / 2.0, frame)
@@ -193,15 +191,13 @@ def periodic_points(p: DynamicsParams, period: int) -> list[float]:
         if not 0.0 <= t < 1.0:
             continue
         cur = t
-        ok = True
         try:
             for _ in range(period):
                 cur = inverse_map(p, cur)
-        except (ForbiddenPointError, ParameterError):
-            ok = False
-        if ok and abs(cur - t) <= 1e-12:
-            if all(abs(t - u) > 1e-12 for u in found):
-                found.append(t)
+        except ForbiddenPointError:
+            continue
+        if abs(cur - t) <= 1e-12 and all(abs(t - u) > 1e-12 for u in found):
+            found.append(t)
     return sorted(found)
 
 
@@ -221,9 +217,7 @@ def orbit_heights(p: DynamicsParams, orbit: Orbit) -> list[float]:
 # orbit <-> tree
 
 
-def tree_from_orbit(
-    p: DynamicsParams, ldr: LadderParams, orbit: Orbit | Sequence[float], K: int | None = None
-) -> EmbeddedTree:
+def tree_from_orbit(p: DynamicsParams, ldr: LadderParams, orbit: Orbit, K: int) -> EmbeddedTree:
     """Embedded network whose long segments sit at the orbit's heights.
 
     Processes one rhombus per orbit value starting at level
@@ -231,27 +225,25 @@ def tree_from_orbit(
     on the vertical lines through the cross-segment abscissa scaled by the
     matching power of ``lam``.
     """
-    if isinstance(orbit, Orbit):
-        if orbit.status != OK:
-            raise ParameterError(f"orbit status must be 'ok', got {orbit.status!r}")
-        values = orbit.values
-        j0 = orbit.start_index
-    else:
-        values = tuple(float(v) for v in orbit)
-        j0 = 0
-    if K is None:
-        K = len(values)
+    if orbit.status != OK:
+        raise ParameterError(f"orbit status must be 'ok', got {orbit.status!r}")
+    values = orbit.values
+    j0 = orbit.start_index
     if K < 1 or K > len(values):
         raise ParameterError(f"K must lie in 1..len(orbit), got {K}")
     lam = p.lam
     # heights must form a forward trajectory (an inverse-iterated orbit is one
-    # when read backwards); otherwise the long segments would not line up
-    for j in range(K - 1):
-        t = values[j]
-        if abs(t - p.t_star) <= _BOUNDARY_TOL:
-            raise ForbiddenPointError(f"orbit value {t} hits the corner height t*")
-        pred = t / lam + (p.q_plus if t < p.t_star else p.q_minus)
-        if abs(pred - values[j + 1]) > 1e-9:
+    # when read backwards); otherwise the long segments would not line up.
+    # forward_map also refuses the corner height t*, so every built value is
+    # stepped, and only the step past the last one may leave [0, 1]
+    for j in range(K):
+        try:
+            pred = forward_map(p, values[j])
+        except EscapeError as exc:
+            if j == K - 1:
+                break
+            raise ParameterError(f"orbit is not forward-consistent at step {j}: {exc}") from exc
+        if j < K - 1 and abs(pred - values[j + 1]) > 1e-9:
             raise ParameterError(
                 f"orbit is not forward-consistent at step {j}: "
                 f"expected {pred}, got {values[j + 1]}"
@@ -260,12 +252,10 @@ def tree_from_orbit(
         raise ParameterError("dynamics and ladder parameters disagree")
     frame = p.frame
     e1 = frame.e1
-    a1, u1, b1, _v1 = _unit_corners(p.alpha, frame)
+    a1, u1, b1 = _unit_corners(p.alpha, frame)
     v_a1 = _hex_uv(a1, frame)[1]
     v_u1 = _hex_uv(u1, frame)[1]
     v_b1 = _hex_uv(b1, frame)[1]
-    e2_hat = frame.e2
-    e3_hat = frame.e3
     r0 = bisector_abscissa(p.alpha, lam)
 
     def anchor(level: int, mu: float) -> complex:
@@ -290,19 +280,17 @@ def tree_from_orbit(
         a_c = s * a1
         u_c = s * u1
         b_c = s * b1
-        if abs(nu - p.t_star) <= _BOUNDARY_TOL:
-            raise ForbiddenPointError(f"orbit value {nu} hits the corner height t*")
         # level-0 height, since s underflows to 0 past level ~1075 at lam = 1/2
         scaled = _unit_height(p, nu)
         if nu > p.t_star:
             tfrac = (v_a1 - scaled) / (v_a1 - v_u1)
             t_pt = a_c + tfrac * (u_c - a_c)
-            s_pt = t_pt + 2.0 * p.a * s * e3_hat
+            s_pt = t_pt + 2.0 * p.a * s * frame.e3
             near, far = a_c, b_c
         else:
             tfrac = (v_u1 - scaled) / (v_u1 - v_b1)
             t_pt = u_c + tfrac * (b_c - u_c)
-            s_pt = t_pt + 2.0 * p.b * s * e2_hat
+            s_pt = t_pt + 2.0 * p.b * s * frame.e2
             near, far = b_c, a_c
         corner = abs(t_pt - near) <= 1e-13 * s
         ti = add(near if corner else t_pt, TERMINAL if corner else STEINER)

@@ -21,11 +21,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .analysis import _sample_segments, distance_to_tree
 from .errors import ParameterError
 from .geometry import SQRT3, Point, line_intersection
 from .solver import minimal_full_tree
-from .trees import STEINER, TERMINAL, EmbeddedTree, TerminalSet, merge_trees, scale_tree
+from .trees import STEINER, TERMINAL, EmbeddedTree, TerminalSet, merge_trees
 
 UPPER = "upper"
 LOWER = "lower"
@@ -58,7 +57,7 @@ def condition_holds(alpha: float, lam: float) -> bool:
     return math.sqrt(lam) < rhs
 
 
-def _require_condition(alpha: float, lam: float) -> None:
+def require_condition(alpha: float, lam: float) -> None:
     if not condition_holds(alpha, lam):
         raise ParameterError(
             f"parameters (alpha={alpha}, lam={lam}) violate the admissibility condition"
@@ -120,7 +119,7 @@ def build_input(params: LadderParams, family: str = "A1") -> TerminalSet:
 
 def closed_form_length_A1(alpha: float, lam: float) -> float:
     """Length of the optimal infinite network for the A1 family."""
-    _require_condition(alpha, lam)
+    require_condition(alpha, lam)
     s = math.sin(alpha)
     value = (
         math.cos(alpha)
@@ -133,7 +132,7 @@ def closed_form_length_A1(alpha: float, lam: float) -> float:
 
 def closed_form_length_A0(alpha: float, lam: float) -> float:
     """Length of the optimal infinite network for the A0 family."""
-    _require_condition(alpha, lam)
+    require_condition(alpha, lam)
     return bisector_abscissa(alpha, lam) + SQRT3 * math.sin(alpha) / (1.0 - lam)
 
 
@@ -157,9 +156,9 @@ def length_by_J(alpha: float, lam: float, J: Iterable[int], K: int) -> float:
     the upper-rotated geometric sum: |c + a e^{i pi/6} + b e^{-i pi/6}| with
     a, b the two complementary sums of ``2 sin(alpha) lam**j``.
     """
-    jset = {int(j) for j in J}
-    if any(j < 1 for j in jset):
-        raise ParameterError("J indices must be >= 1")
+    jset = set(J)
+    if any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in (*jset, K)):
+        raise ParameterError(f"J indices and K must be integers >= 1, got J={J!r}, K={K!r}")
     s = math.sin(alpha)
     a = 2.0 * s * sum(lam**j for j in range(1, K + 1) if j in jset)
     b = 2.0 * s * sum(lam**j for j in range(1, K + 1) if j not in jset)
@@ -189,22 +188,14 @@ def _five_block(alpha: float, lam: float) -> EmbeddedTree:
     return tree
 
 
-def parse_word(word) -> tuple[int, ...]:
-    """Normalize a mirror word ('0110', iterable of bits) to a bit tuple."""
-    if isinstance(word, str):
-        bits = []
-        for ch in word:
-            if ch not in "01":
-                raise ParameterError(f"mirror word characters must be 0/1, got {ch!r}")
-            bits.append(int(ch))
-        return tuple(bits)
-    out = tuple(int(b) for b in word)
-    if any(b not in (0, 1) for b in out):
-        raise ParameterError("mirror word bits must be 0 or 1")
-    return out
+def parse_word(word: str) -> tuple[int, ...]:
+    """Normalize a mirror word such as '0110' to a bit tuple."""
+    if not isinstance(word, str) or set(word) - {"0", "1"}:
+        raise ParameterError(f"mirror word must be a string of 0s and 1s, got {word!r}")
+    return tuple(int(ch) for ch in word)
 
 
-def build_ladder_tree_A1(params: LadderParams, word) -> EmbeddedTree:
+def build_ladder_tree_A1(params: LadderParams, word: str) -> EmbeddedTree:
     """Chain of rescaled 5-terminal blocks for the A1 family.
 
     Depth ``K`` must be odd; the chain has ``(K-1)//2`` blocks, one word bit
@@ -218,7 +209,7 @@ def build_ladder_tree_A1(params: LadderParams, word) -> EmbeddedTree:
     both blocks compute it from its level, so ``merge_trees`` fuses it.
     """
     alpha, lam, K = params.alpha, params.lam, params.depth
-    _require_condition(alpha, lam)
+    require_condition(alpha, lam)
     if K < 3 or K % 2 == 0:
         raise ParameterError(f"A1 ladder depth must be odd and >= 3, got {K}")
     bits = parse_word(word)
@@ -248,7 +239,7 @@ def build_ladder_tree_A0(params: LadderParams, side: str = UPPER) -> EmbeddedTre
     truncated length is exactly ``(1 - lam**K)`` times the infinite one.
     """
     alpha, lam, K = params.alpha, params.lam, params.depth
-    _require_condition(alpha, lam)
+    require_condition(alpha, lam)
 
     sin_a = math.sin(alpha)
     cos_a = math.cos(alpha)
@@ -320,20 +311,3 @@ def build_triangle_tree(params: LadderParams, side: str = UPPER) -> EmbeddedTree
         edges.append((0, len(verts) - 1))
     return EmbeddedTree.build(verts, roles, edges)
 
-
-def self_similarity_defect(
-    tree: EmbeddedTree,
-    ratio: float,
-    center: complex = 0j,
-    min_radius: float = 0.0,
-) -> float:
-    """One-sided Hausdorff gap from the scaled tree to the original.
-
-    Sample points of the scaled tree closer than ``min_radius`` to the centre
-    are ignored, which masks the truncation tail of finite-depth networks.
-    """
-    samples = _sample_segments(scale_tree(tree, ratio, center))
-    return max(
-        (distance_to_tree(z, tree) for z in samples if abs(z - center) >= min_radius),
-        default=0.0,
-    )

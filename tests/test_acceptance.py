@@ -18,6 +18,7 @@ from steiner_ladder.analysis import (
     is_decomposable,
     local_min_gradient,
     maxwell_length,
+    self_similarity_defect,
     trees_mirror_equal,
 )
 from steiner_ladder.dynamics import (
@@ -38,7 +39,6 @@ from steiner_ladder.ladder import (
     closed_form_length_A1,
     condition_holds,
     segment_radius,
-    self_similarity_defect,
     x_offset,
 )
 from steiner_ladder.solver import (

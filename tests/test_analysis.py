@@ -174,8 +174,8 @@ def test_mirror_words_differ():
 def test_wedge_clipping(a1_tree):
     # a wedge opening away from all terminals meets the tree in one segment
     apex = complex(0.75 * math.cos(ALPHA), 0.8 * math.sin(ALPHA))
-    assert wedge_intersection_is_segment(a1_tree, apex, math.pi / 2, math.pi / 3)
+    assert wedge_intersection_is_segment(a1_tree, apex, math.pi / 2)
     # a wedge containing a branching point fails the single-segment property
     tripod = regular_tripod()
-    assert not wedge_intersection_is_segment(tripod, -0.1 - 0.05j, 0.0, math.pi / 3)
+    assert not wedge_intersection_is_segment(tripod, -0.1 - 0.05j, 0.0)
     assert clip_to_wedge(tripod, 10 + 10j, 0.0, math.pi / 12) == []

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steiner_ladder.analysis import classify, trees_mirror_equal
+from steiner_ladder.analysis import classify, self_similarity_defect, trees_mirror_equal
 from steiner_ladder.dynamics import (
     ESCAPED,
     HIT_FORBIDDEN,
@@ -23,7 +23,6 @@ from steiner_ladder.ladder import (
     LadderParams,
     build_ladder_tree_A0,
     build_ladder_tree_A1,
-    self_similarity_defect,
 )
 from steiner_ladder.trees import reflect_tree
 
@@ -246,6 +245,17 @@ def test_tree_from_orbit_rejects_inconsistent_heights(p_tilt):
     ldr = LadderParams(ALPHA, LAM, 4)
     with pytest.raises(ParameterError):
         tree_from_orbit(p_tilt, ldr, Orbit((0.1, 0.9, 0.2, 0.8)), 4)
+
+
+def test_tree_from_orbit_refuses_the_corner_height_at_every_level(p_tilt):
+    # t* has no rhombus crossing, whether it is the only value or the last one
+    t_star = p_tilt.t_star
+    before = p_tilt.lam * (t_star - p_tilt.q_minus)  # forward_map sends it to t*
+    assert forward_map(p_tilt, before) == pytest.approx(t_star, abs=1e-12)
+    for values in ((t_star,), (before, t_star)):
+        K = len(values)
+        with pytest.raises(ForbiddenPointError):
+            tree_from_orbit(p_tilt, LadderParams(ALPHA, LAM, K), Orbit(values), K)
 
 
 def test_orbit_heights_scaling(p0):

@@ -6,6 +6,7 @@ from steiner_ladder.analysis import (
     block_decompose,
     classify,
     maxwell_length,
+    self_similarity_defect,
     trees_mirror_equal,
     validate_steiner_geometry,
     wind_rose,
@@ -26,7 +27,6 @@ from steiner_ladder.ladder import (
     condition_holds,
     length_by_J,
     segment_radius,
-    self_similarity_defect,
     terminal_a,
     terminal_b,
     x_offset,
@@ -327,6 +327,11 @@ def test_a1_word_validation():
         build_ladder_tree_A1(params, "02")
     with pytest.raises(ParameterError):
         build_ladder_tree_A1(LadderParams(ALPHA, LAM, 4), "00")  # even depth
+    # a word is a string: a sequence of bits, or of numbers read as bits, is refused
+    with pytest.raises(ParameterError):
+        build_ladder_tree_A1(params, [0, 1])
+    with pytest.raises(ParameterError):
+        build_ladder_tree_A1(params, [0.9, 1.2])
 
 
 def test_length_by_J():
@@ -340,6 +345,16 @@ def test_length_by_J():
     )
     all_j = range(1, K + 1)
     assert length_by_J(ALPHA, LAM, all_j, K) > length_by_J(ALPHA, LAM, odds, K)
+
+
+@pytest.mark.parametrize(
+    "J, K",
+    [([1.7], 10), ([True], 10), ([1], -3), ([1], 0), ([1], True), ([1], 2.5)],
+    ids=["float-index", "bool-index", "negative-K", "zero-K", "bool-K", "float-K"],
+)
+def test_length_by_J_refuses_non_integer_or_non_positive_input(J, K):
+    with pytest.raises(ParameterError):
+        length_by_J(ALPHA, LAM, J, K)
 
 
 def test_homothety():
@@ -402,7 +417,7 @@ def test_separating_wedges_meet_tree_in_one_segment():
             angles = [math.atan2(r.imag, r.real) for r in rays]
             assert angles[1] - angles[0] > 2 * math.pi / 3  # room for the wedge
             direction = 0.5 * (angles[0] + angles[1])
-            assert wedge_intersection_is_segment(tree, apex, direction, math.pi / 3)
+            assert wedge_intersection_is_segment(tree, apex, direction)
 
 
 def test_separation_predicate_on_admissible_grid():

@@ -1,4 +1,5 @@
-"""The package's export list matches the names it binds, and it needs only the stdlib."""
+"""The package's export list matches the names it binds, it needs only the stdlib,
+and its modules share no private names."""
 
 import ast
 import sys
@@ -38,3 +39,18 @@ def test_runtime_imports_only_the_standard_library():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert foreign == []
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # an underscore name is private to its module; a sibling that needs it
+    # should get a public name, or the code should move to where it is used
+    src = Path(steiner_ladder.__file__).parent
+    private = [
+        f"{path.name}: {node.module}.{alias.name}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
