@@ -7,17 +7,20 @@ consecutive rhombi obey an affine two-branch recurrence; normalised to
 piecewise contraction ``t -> frac(lam * t + t2)``.  Periodic points of the
 inverse map correspond to self-similar networks; trajectories that hit the
 branch boundary correspond to networks with a degree-two terminal.
+
+``ladder`` builds its A0 network here, so this module imports nothing from
+``ladder``; ``LadderParams`` appears only as an annotation.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import EscapeError, ForbiddenPointError, ParameterError
 from .geometry import SQRT3, HexFrame, line_intersection
-from .ladder import LadderParams, bisector_abscissa, require_condition
 from .trees import STEINER, TERMINAL, EmbeddedTree
 
 OK = "ok"
@@ -88,6 +91,26 @@ def _hex_uv(z: complex, frame: HexFrame) -> tuple[float, float]:
 def _from_uv(u: float, v: float, frame: HexFrame) -> complex:
     """The point u*e1 + v*e2 - v*e3, inverse of ``_hex_uv``."""
     return frame.e1 * complex(u, SQRT3 * v)
+
+
+def condition_holds(alpha: float, lam: float) -> bool:
+    """Strict admissibility inequality for the block structure to be optimal."""
+    if not 0.0 < alpha < math.pi / 2 or lam <= 0.0:
+        raise ParameterError("condition_holds requires alpha in (0, pi/2) and lam > 0")
+    rhs = math.cos(math.pi / 3 + alpha) / math.cos(math.pi / 3 - alpha)
+    return math.sqrt(lam) < rhs
+
+
+def require_condition(alpha: float, lam: float) -> None:
+    if not condition_holds(alpha, lam):
+        raise ParameterError(
+            f"parameters (alpha={alpha}, lam={lam}) violate the admissibility condition"
+        )
+
+
+def bisector_abscissa(alpha: float, lam: float) -> float:
+    """Abscissa of the cross segment: cos(a)/lam - sin(a)/(sqrt(3) lam)."""
+    return math.cos(alpha) / lam - math.sin(alpha) / (SQRT3 * lam)
 
 
 def derive_params(alpha: float, lam: float, beta: float) -> DynamicsParams:
@@ -311,7 +334,12 @@ def tree_from_orbit(p: DynamicsParams, ldr: LadderParams, orbit: Orbit, K: int) 
 
 
 def orbit_from_tree(tree: EmbeddedTree, p: DynamicsParams) -> Orbit:
-    """Recover the normalised heights of a ladder network's long segments."""
+    """Recover the normalised heights of a ladder network's long segments.
+
+    Levels are read from vertex radii, so a tree with a vertex of subnormal radius is refused.
+    """
+    if any(0.0 < abs(z) < sys.float_info.min for z in tree.vertices):
+        raise ParameterError("tree has a vertex of subnormal radius; its levels cannot be read")
     e1 = p.frame.e1
     adj = tree.adjacency()
     lam = p.lam

@@ -11,6 +11,9 @@ vertex) and ``A0`` (additionally a cross segment [A0 B0] at distance
 chain of rescaled 5-terminal full blocks hinged at every second A- or B-side
 terminal; for ``A0`` it is a single full tree entering through a point ``x``
 on the cross segment, offset ``sin(alpha)/(1 + lam)`` from its midpoint.
+
+The A0 network is ``dynamics.tree_from_orbit`` on the inverse map's 2-cycle,
+so this module imports ``dynamics``, which imports nothing from here.
 """
 
 from __future__ import annotations
@@ -21,10 +24,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+from . import dynamics as dyn
+from .dynamics import bisector_abscissa, condition_holds, require_condition
 from .errors import ParameterError
-from .geometry import SQRT3, Point, line_intersection
+from .geometry import SQRT3, Point
 from .solver import minimal_full_tree
-from .trees import STEINER, TERMINAL, EmbeddedTree, TerminalSet, merge_trees
+from .trees import EmbeddedTree, TerminalSet, merge_trees
 
 UPPER = "upper"
 LOWER = "lower"
@@ -49,21 +54,6 @@ class LadderParams:
             raise ParameterError(f"depth must be >= 1, got {self.depth}")
 
 
-def condition_holds(alpha: float, lam: float) -> bool:
-    """Strict admissibility inequality for the block structure to be optimal."""
-    if not 0.0 < alpha < math.pi / 2 or lam <= 0.0:
-        raise ParameterError("condition_holds requires alpha in (0, pi/2) and lam > 0")
-    rhs = math.cos(math.pi / 3 + alpha) / math.cos(math.pi / 3 - alpha)
-    return math.sqrt(lam) < rhs
-
-
-def require_condition(alpha: float, lam: float) -> None:
-    if not condition_holds(alpha, lam):
-        raise ParameterError(
-            f"parameters (alpha={alpha}, lam={lam}) violate the admissibility condition"
-        )
-
-
 def separation_gap(alpha: float, lam: float) -> float:
     """Slack of the separation inequality used by the cross-segment bound."""
     return bisector_abscissa(alpha, lam) - math.cos(alpha) - SQRT3 * math.sin(alpha) / (1.0 - lam)
@@ -85,11 +75,6 @@ def terminal_b(alpha: float, lam: float, k: int) -> Point:
 def segment_radius(alpha: float, lam: float) -> float:
     """Distance of the cross-segment endpoints A0, B0 from the angle vertex."""
     return 1.0 / lam - math.tan(alpha) / (SQRT3 * lam)
-
-
-def bisector_abscissa(alpha: float, lam: float) -> float:
-    """Abscissa of the cross segment: cos(a)/lam - sin(a)/(sqrt(3) lam)."""
-    return math.cos(alpha) / lam - math.sin(alpha) / (SQRT3 * lam)
 
 
 def build_input(params: LadderParams, family: str = "A1") -> TerminalSet:
@@ -233,81 +218,15 @@ def build_ladder_tree_A1(params: LadderParams, word: str) -> EmbeddedTree:
 def build_ladder_tree_A0(params: LadderParams, side: str = UPPER) -> EmbeddedTree:
     """Indecomposable full network for the A0 family, truncated at depth K.
 
-    Starts at the entry point on the cross segment, alternates above/below
-    the bisector through one rhombus per depth, and closes with a stub ending
-    at the homothetic image of the entry point (ratio ``lam**K``), so the
-    truncated length is exactly ``(1 - lam**K)`` times the infinite one.
+    ``tree_from_orbit`` on the inverse map's 2-cycle at ``beta = 0``: the
+    network enters at ``x_point`` on the cross segment, alternates sides of
+    the bisector through one rhombus per depth and closes with a stub at the
+    entry point's image under the homothety of ratio ``lam**K``, so its
+    length is ``(1 - lam**K)`` times the infinite one.
     """
-    alpha, lam, K = params.alpha, params.lam, params.depth
-    require_condition(alpha, lam)
-
-    sin_a = math.sin(alpha)
-    cos_a = math.cos(alpha)
-    x0 = complex(x_point(alpha, lam, side))
-
-    verts: list[complex] = [x0]
-    roles: list[str] = [TERMINAL]
-    edges: list[tuple[int, int]] = []
-
-    def add(z: complex, role: str) -> int:
-        verts.append(z)
-        roles.append(role)
-        return len(verts) - 1
-
-    # the entry height is s*sin(a)/(1+lam) at every level, so the crossing
-    # point sits at the fixed parameter lam/(1+lam) along the rhombus side
-    tau = lam / (1.0 + lam)
-    prev = 0
-    from_above = side == UPPER
-    for j in range(1, K + 1):
-        s = lam ** (j - 1)
-        a_j = s * complex(cos_a, sin_a)
-        b_j = s * complex(cos_a, -sin_a)
-        u_j = s * complex(cos_a + sin_a / SQRT3, 0.0)
-        if from_above:
-            t_pt = a_j + tau * (u_j - a_j)
-            s_pt = t_pt - s * sin_a * complex(1.0 / SQRT3, 1.0)
-            near, far = a_j, b_j
-        else:
-            t_pt = b_j + tau * (u_j - b_j)
-            s_pt = t_pt + s * sin_a * complex(-1.0 / SQRT3, 1.0)
-            near, far = b_j, a_j
-        ti = add(t_pt, STEINER)
-        si = add(s_pt, STEINER)
-        ni = add(near, TERMINAL)
-        fi = add(far, TERMINAL)
-        edges += [(prev, ti), (ti, ni), (ti, si), (si, fi)]
-        prev = si
-        from_above = not from_above
-    # heights alternate, so odd truncations exit through the mirrored point
-    x_end = x0 if K % 2 == 0 else x0.conjugate()
-    end = add(lam**K * x_end, TERMINAL)
-    edges.append((prev, end))
-    return EmbeddedTree.build(verts, roles, edges)
-
-
-def build_triangle_tree(params: LadderParams, side: str = UPPER) -> EmbeddedTree:
-    """Demo variant: the cross-segment network with side anchors instead.
-
-    The entry leaf is promoted to a branching point by adding two edges from
-    it to fresh terminals on the two angle sides, completing a regular tripod
-    there.  All terminals then lie on the sides of the triangle spanned by
-    the two anchors and the angle vertex.  Constructed as a demonstration; no
-    minimality claim is made or checked.
-    """
-    base = build_ladder_tree_A0(params, side)
-    alpha = params.alpha
-    x0 = base.vertices[0]
-    verts = list(base.vertices)
-    roles = list(base.roles)
-    edges = list(base.edges)
-    roles[0] = STEINER
-    # the existing edge at the entry leaf points inward along the bisector;
-    # the two new edges leave at +-60 degrees and meet the angle sides
-    for ang, ray in ((math.pi / 3, cmath.exp(1j * alpha)), (-math.pi / 3, cmath.exp(-1j * alpha))):
-        anchor = line_intersection(x0, x0 + cmath.exp(1j * ang), 0j, ray)
-        verts.append(anchor)
-        roles.append(TERMINAL)
-        edges.append((0, len(verts) - 1))
-    return EmbeddedTree.build(verts, roles, edges)
-
+    if side not in (UPPER, LOWER):
+        raise ParameterError(f"side must be 'upper' or 'lower', got {side!r}")
+    p0 = dyn.derive_params(params.alpha, params.lam, 0.0)
+    t0 = dyn.periodic_points(p0, 2)[side == UPPER]
+    K = params.depth
+    return dyn.tree_from_orbit(p0, params, dyn.iterate(p0, t0, K + 1, dyn.INVERSE), K)

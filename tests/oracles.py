@@ -1,14 +1,20 @@
-"""Independent brute-force oracles.
+"""Independent oracles.
 
 Everything here is deliberately dumb and slow: grid searches, coordinate
-descent, exhaustive filters.  The oracles never import solver internals, so
-they stay independent of the code paths they check.
+descent, exhaustive filters, and a rhombus-by-rhombus construction of the A0
+network.  The oracles never import solver internals or the dynamics route's
+builders, so they stay independent of the code paths they check.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+from steiner_ladder.dynamics import require_condition
+from steiner_ladder.geometry import SQRT3
+from steiner_ladder.ladder import UPPER, LadderParams, x_point
+from steiner_ladder.trees import STEINER, TERMINAL, EmbeddedTree
 
 
 def total_distance(p: complex, anchors) -> float:
@@ -172,3 +178,62 @@ def hex_solve_oracle(p: complex, e1: complex) -> tuple[float, float, float]:
     u = (p.real * d.imag - p.imag * d.real) / det
     v = (e1.real * p.imag - e1.imag * p.real) / det
     return u, v, -v
+
+
+def direct_ladder_tree_A0(params: LadderParams, side: str = UPPER) -> EmbeddedTree:
+    """The A0 network built rhombus by rhombus from the ladder geometry alone.
+
+    An independent reference for ``build_ladder_tree_A0``, which builds the
+    same network from the inverse map's 2-cycle through ``tree_from_orbit``.
+
+    Starts at the entry point on the cross segment, alternates above/below
+    the bisector through one rhombus per depth, and closes with a stub ending
+    at the homothetic image of the entry point (ratio ``lam**K``), so the
+    truncated length is exactly ``(1 - lam**K)`` times the infinite one.
+    """
+    alpha, lam, K = params.alpha, params.lam, params.depth
+    require_condition(alpha, lam)
+
+    sin_a = math.sin(alpha)
+    cos_a = math.cos(alpha)
+    x0 = complex(x_point(alpha, lam, side))
+
+    verts: list[complex] = [x0]
+    roles: list[str] = [TERMINAL]
+    edges: list[tuple[int, int]] = []
+
+    def add(z: complex, role: str) -> int:
+        verts.append(z)
+        roles.append(role)
+        return len(verts) - 1
+
+    # the entry height is s*sin(a)/(1+lam) at every level, so the crossing
+    # point sits at the fixed parameter lam/(1+lam) along the rhombus side
+    tau = lam / (1.0 + lam)
+    prev = 0
+    from_above = side == UPPER
+    for j in range(1, K + 1):
+        s = lam ** (j - 1)
+        a_j = s * complex(cos_a, sin_a)
+        b_j = s * complex(cos_a, -sin_a)
+        u_j = s * complex(cos_a + sin_a / SQRT3, 0.0)
+        if from_above:
+            t_pt = a_j + tau * (u_j - a_j)
+            s_pt = t_pt - s * sin_a * complex(1.0 / SQRT3, 1.0)
+            near, far = a_j, b_j
+        else:
+            t_pt = b_j + tau * (u_j - b_j)
+            s_pt = t_pt + s * sin_a * complex(-1.0 / SQRT3, 1.0)
+            near, far = b_j, a_j
+        ti = add(t_pt, STEINER)
+        si = add(s_pt, STEINER)
+        ni = add(near, TERMINAL)
+        fi = add(far, TERMINAL)
+        edges += [(prev, ti), (ti, ni), (ti, si), (si, fi)]
+        prev = si
+        from_above = not from_above
+    # heights alternate, so odd truncations exit through the mirrored point
+    x_end = x0 if K % 2 == 0 else x0.conjugate()
+    end = add(lam**K * x_end, TERMINAL)
+    edges.append((prev, end))
+    return EmbeddedTree.build(verts, roles, edges)

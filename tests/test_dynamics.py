@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steiner_ladder.analysis import classify, self_similarity_defect, trees_mirror_equal
+from steiner_ladder.analysis import classify, self_similarity_defect
 from steiner_ladder.dynamics import (
     ESCAPED,
     HIT_FORBIDDEN,
@@ -23,8 +23,11 @@ from steiner_ladder.ladder import (
     LadderParams,
     build_ladder_tree_A0,
     build_ladder_tree_A1,
+    closed_form_length_A0,
 )
 from steiner_ladder.trees import reflect_tree
+
+from oracles import direct_ladder_tree_A0
 
 ALPHA = math.pi / 36
 LAM = 0.5
@@ -197,29 +200,60 @@ def test_periodic_points_return_to_themselves(p_tilt):
             assert cur == pytest.approx(t, abs=1e-12)
 
 
-def test_tree_from_orbit_matches_direct_construction(p0):
-    K = 12
-    ldr = LadderParams(ALPHA, LAM, K)
-    orbit = iterate(p0, 1 / 6, K + 1, "inverse")
-    tree = tree_from_orbit(p0, ldr, orbit, K)
-    lower = build_ladder_tree_A0(ldr, "lower")
-    upper = build_ladder_tree_A0(ldr, "upper")
-    assert classify(tree) == "full"
-    assert tree.length == pytest.approx(lower.length, rel=1e-12)
-    assert trees_mirror_equal(upper, tree, tol=1e-8)
-    # starting at the other periodic point gives the upper network
-    orbit2 = iterate(p0, 5 / 6, K + 1, "inverse")
-    tree2 = tree_from_orbit(p0, ldr, orbit2, K)
-    assert trees_mirror_equal(lower, tree2, tol=1e-8)
-    assert tree2.length == pytest.approx(upper.length, rel=1e-12)
+def test_tree_from_orbit_matches_direct_construction():
+    # the 2-cycle moves with lam (it is 1/6 and 5/6 only at lam = 1/2), so the
+    # orbit route is checked against the rhombus-by-rhombus build at three ratios
+    for alpha, lam in ((math.pi / 20, 0.3), (math.pi / 10, 0.05), (ALPHA, LAM)):
+        p = derive_params(alpha, lam, 0.0)
+        cycle = periodic_points(p, 2)
+        assert len(cycle) == 2
+        for K in (1, 2, 5, 40):
+            ldr = LadderParams(alpha, lam, K)
+            for t0, side in zip(cycle, ("lower", "upper")):
+                tree = tree_from_orbit(p, ldr, iterate(p, t0, K + 1, "inverse"), K)
+                ref = direct_ladder_tree_A0(ldr, side)
+                assert classify(tree) == "full"
+                assert len(tree.vertices) == len(ref.vertices)
+                for z in ref.vertices:
+                    assert min(abs(z - w) for w in tree.vertices) <= 1e-15
+                assert abs(tree.length - ref.length) <= 1e-15 * ref.length
+                assert build_ladder_tree_A0(ldr, side).vertices == tree.vertices
 
 
 @pytest.mark.parametrize("K", [1100, 2000])
 def test_tree_from_orbit_past_underflow_matches_direct_construction(p0, K):
-    # lam**K underflows to 0 here, so the level heights must not be divided by it
+    # lam**K underflows to 0 here, so the level heights must not be divided by it;
+    # the truncated network is exactly (1 - lam**K) times the infinite one
     ldr = LadderParams(ALPHA, LAM, K)
     tree = tree_from_orbit(p0, ldr, iterate(p0, 1 / 6, K + 1, "inverse"), K)
-    assert tree.length == pytest.approx(build_ladder_tree_A0(ldr, "lower").length, rel=1e-12)
+    want = (1 - LAM**K) * closed_form_length_A0(ALPHA, LAM)
+    assert tree.length == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("K", [1040, 1048, 1050, 1057, 1058])
+def test_orbit_from_tree_never_returns_a_short_orbit(p0, K):
+    # past the subnormal radii the levels cannot be read: every segment comes
+    # back, or the tree is refused
+    orbit = iterate(p0, 1 / 6, K + 1, "inverse")
+    tree = tree_from_orbit(p0, LadderParams(ALPHA, LAM, K), orbit, K)
+    try:
+        back = orbit_from_tree(tree, p0)
+    except ParameterError:
+        return
+    assert len(back.values) == K + 1
+    assert back.values == pytest.approx(orbit.values[: K + 1], abs=1e-9)
+
+
+def test_orbit_from_tree_reads_up_to_the_subnormal_radii(p0):
+    # at lam = 1/2 the deepest vertices turn subnormal from depth 1023 on
+    def network(K):
+        orbit = iterate(p0, 1 / 6, K + 1, "inverse")
+        return orbit, tree_from_orbit(p0, LadderParams(ALPHA, LAM, K), orbit, K)
+
+    orbit, tree = network(1022)
+    assert orbit_from_tree(tree, p0).values == pytest.approx(orbit.values[:1023], abs=1e-9)
+    with pytest.raises(ParameterError, match="subnormal"):
+        orbit_from_tree(network(1023)[1], p0)
 
 
 def test_orbit_tree_round_trip(p0, p_tilt):

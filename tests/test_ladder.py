@@ -17,7 +17,6 @@ from steiner_ladder.geometry import angle_at
 from steiner_ladder.ladder import (
     LadderParams,
     bisector_abscissa,
-    build_triangle_tree,
     build_input,
     build_ladder_tree_A0,
     build_ladder_tree_A1,
@@ -361,19 +360,6 @@ def test_homothety():
     tree = build_ladder_tree_A0(LadderParams(ALPHA, LAM, 6), "upper")
     scaled = scale_tree(tree, LAM**2)
     assert scaled.length == pytest.approx(LAM**2 * tree.length, rel=1e-14)
-
-
-def test_triangle_variant_is_full_with_anchors_on_the_sides():
-    tree = build_triangle_tree(LadderParams(ALPHA, LAM, 10), "upper")
-    assert classify(tree) == "full"
-    assert validate_steiner_geometry(tree).ok
-    deg = tree.degrees()
-    assert all(deg[i] == 1 for i, r in enumerate(tree.roles) if r == TERMINAL)
-    a_side, b_side = tree.vertices[-2], tree.vertices[-1]
-    assert math.atan2(a_side.imag, a_side.real) == pytest.approx(ALPHA, abs=1e-12)
-    assert math.atan2(b_side.imag, b_side.real) == pytest.approx(-ALPHA, abs=1e-12)
-    # outside the cross segment but inside the anchors' triangle
-    assert abs(a_side) > segment_radius(ALPHA, LAM)
 
 
 def test_a0_length_from_entry_point_functional():

@@ -1,9 +1,10 @@
 """The package's export list matches the names it binds, it needs only the stdlib,
-and its modules share no private names."""
+its modules share no private names, and they import each other without a cycle."""
 
 import ast
 import sys
 import types
+from graphlib import TopologicalSorter
 from pathlib import Path
 
 import steiner_ladder
@@ -54,3 +55,22 @@ def test_no_module_imports_a_private_name_from_a_sibling():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_package_imports_form_no_cycle():
+    # every relative import is an edge, a function-local one too; a cycle
+    # would let a module see a sibling half-initialised
+    src = Path(steiner_ladder.__file__).parent
+    modules = {path.stem for path in src.glob("*.py")}
+    graph = {}
+    for path in sorted(src.glob("*.py")):
+        deps = graph.setdefault(path.stem, set())
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom) or node.level == 0:
+                continue
+            if node.module:
+                deps.add(node.module.partition(".")[0])
+            else:  # "from . import name": a submodule, or a name bound by __init__
+                deps.update(a.name if a.name in modules else "__init__" for a in node.names)
+    assert "ladder" not in graph["dynamics"]
+    TopologicalSorter(graph).prepare()  # raises CycleError, naming the cycle
