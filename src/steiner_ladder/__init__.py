@@ -31,13 +31,7 @@ from .errors import (
     ForbiddenPointError,
     ParameterError,
 )
-from .geometry import (
-    HexFrame,
-    Point,
-    angle_at,
-    equilateral_third,
-    fermat_point,
-)
+from .geometry import HexFrame, angle_at
 from .ladder import (
     LadderParams,
     build_input,
@@ -78,7 +72,6 @@ __all__ = [
     "LadderParams",
     "Orbit",
     "ParameterError",
-    "Point",
     "SteinerSolution",
     "TerminalSet",
     "Topology",
@@ -96,8 +89,6 @@ __all__ = [
     "count_full_topologies",
     "derive_params",
     "enumerate_full_topologies",
-    "equilateral_third",
-    "fermat_point",
     "forward_map",
     "inverse_map",
     "is_decomposable",

@@ -20,7 +20,7 @@ from .geometry import (
     point_in_hull,
     point_segment_distance,
 )
-from .trees import TERMINAL, EmbeddedTree, reflect_tree, scale_tree
+from .trees import TERMINAL, EmbeddedTree, as_points, reflect_tree, scale_tree
 
 FULL = "full"
 FULL_STAR = "full*"
@@ -171,7 +171,7 @@ def validate_steiner_geometry(tree: EmbeddedTree, terminals=None) -> ValidityRep
             violation = max(violation, TWO_THIRDS_PI - ang)
     violation = max(0.0, violation)
     if terminals is not None:
-        hull_pts = [complex(p) for p in getattr(terminals, "points", terminals)]
+        hull_pts = as_points(terminals)
     else:
         hull_pts = [tree.vertices[i] for i in tree.terminal_indices()]
     hull = convex_hull(hull_pts)

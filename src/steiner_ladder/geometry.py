@@ -1,8 +1,7 @@
 """Primitive planar geometry.
 
-Points are complex numbers.  ``Point`` subclasses ``complex`` so instances
-flow through arithmetic unchanged; plain ``complex`` values are accepted
-everywhere a point is expected.
+Points are plain ``complex`` numbers.  Terminals are checked for finite
+coordinates once, by ``trees.as_points`` (which ``TerminalSet`` also uses).
 """
 
 from __future__ import annotations
@@ -23,46 +22,6 @@ ROT_RIGHT = complex(0.5, -SQRT3 / 2.0)
 _OMEGA = complex(-0.5, SQRT3 / 2.0)  # exp(2*pi*i/3)
 
 
-class Point(complex):
-    """Planar point with finite coordinates; doubles as a complex number."""
-
-    def __new__(cls, x: float, y: float = 0.0) -> "Point":
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise DegenerateInputError(f"non-finite coordinates ({x!r}, {y!r})")
-        return super().__new__(cls, x, y)
-
-    @classmethod
-    def of(cls, z: complex) -> "Point":
-        return cls(z.real, z.imag)
-
-    @property
-    def x(self) -> float:
-        return self.real
-
-    @property
-    def y(self) -> float:
-        return self.imag
-
-    def __repr__(self) -> str:
-        return f"Point({self.real!r}, {self.imag!r})"
-
-
-def equilateral_third(p1: complex, p2: complex, side: str = "left") -> Point:
-    """Third vertex of the equilateral triangle on ``p1 p2``.
-
-    ``side`` selects the solution to the left or right of the directed
-    segment p1 -> p2.
-    """
-    d = complex(p2) - complex(p1)
-    if d == 0:
-        raise DegenerateInputError("equilateral_third: coincident endpoints")
-    if side == "left":
-        return Point.of(p1 + d * ROT_LEFT)
-    if side == "right":
-        return Point.of(p1 + d * ROT_RIGHT)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
 def angle_at(vertex: complex, p: complex, q: complex) -> float:
     """Convex angle at ``vertex`` between rays towards ``p`` and ``q``, in [0, pi]."""
     u = complex(p) - complex(vertex)
@@ -72,38 +31,6 @@ def angle_at(vertex: complex, p: complex, q: complex) -> float:
     # the quotient of the unit rays has the dot and cross products of the rays for
     # its parts; those of the raw rays are subnormal once the rays are 1e-157 long
     return abs(cmath.phase((v / abs(v)) / (u / abs(u))))
-
-
-def fermat_point(a: complex, b: complex, c: complex) -> tuple[Point, str]:
-    """Point minimising the summed distance to the triangle ``a b c``.
-
-    Returns ``(point, "interior")`` when all angles are below 2*pi/3 (the
-    interior point then sees each side under equal angles), otherwise
-    ``(vertex, "vertex")`` for the wide-angle vertex.
-    """
-    pts = (complex(a), complex(b), complex(c))
-    if pts[0] == pts[1] or pts[1] == pts[2] or pts[0] == pts[2]:
-        raise DegenerateInputError("fermat_point: coincident vertices")
-    for i in range(3):
-        ang = angle_at(pts[i], pts[(i + 1) % 3], pts[(i + 2) % 3])
-        if ang >= TWO_THIRDS_PI - 1e-14:
-            return Point.of(pts[i]), "vertex"
-    # intersection of two Simpson lines [a, E_a], [b, E_b] where E_v is the
-    # outward equilateral vertex on the opposite side
-    e_a = _outward_equilateral(pts[1], pts[2], pts[0])
-    e_b = _outward_equilateral(pts[0], pts[2], pts[1])
-    p = line_intersection(pts[0], e_a, pts[1], e_b)
-    return Point.of(p), "interior"
-
-
-def _outward_equilateral(p: complex, q: complex, opposite: complex) -> complex:
-    """Equilateral third point of [p q] on the side away from ``opposite``."""
-    left = complex(equilateral_third(p, q, "left"))
-    d = q - p
-    side_of = lambda z: (d.real * (z - p).imag - d.imag * (z - p).real)
-    if side_of(left) * side_of(opposite) < 0:
-        return left
-    return complex(equilateral_third(p, q, "right"))
 
 
 def line_intersection(p1: complex, p2: complex, q1: complex, q2: complex) -> complex:

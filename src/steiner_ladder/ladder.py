@@ -27,7 +27,7 @@ from typing import Iterable
 from . import dynamics as dyn
 from .dynamics import bisector_abscissa, condition_holds, require_condition
 from .errors import ParameterError
-from .geometry import SQRT3, Point
+from .geometry import SQRT3
 from .solver import minimal_full_tree
 from .trees import EmbeddedTree, TerminalSet, merge_trees
 
@@ -63,13 +63,13 @@ def separation_predicate(alpha: float, lam: float) -> bool:
     return separation_gap(alpha, lam) >= 0.0
 
 
-def terminal_a(alpha: float, lam: float, k: int) -> Point:
+def terminal_a(alpha: float, lam: float, k: int) -> complex:
     """Upper-side terminal at depth k (unit distance for k=1)."""
-    return Point.of(lam ** (k - 1) * cmath.exp(1j * alpha))
+    return lam ** (k - 1) * cmath.exp(1j * alpha)
 
 
-def terminal_b(alpha: float, lam: float, k: int) -> Point:
-    return Point.of(lam ** (k - 1) * cmath.exp(-1j * alpha))
+def terminal_b(alpha: float, lam: float, k: int) -> complex:
+    return lam ** (k - 1) * cmath.exp(-1j * alpha)
 
 
 def segment_radius(alpha: float, lam: float) -> float:
@@ -86,13 +86,13 @@ def build_input(params: LadderParams, family: str = "A1") -> TerminalSet:
     points = (
         [terminal_a(alpha, lam, k) for k in range(1, K + 1)]
         + [terminal_b(alpha, lam, k) for k in range(1, K + 1)]
-        + [Point(0.0, 0.0)]
+        + [0j]
     )
     segment = None
     if family == "A0":
         r = segment_radius(alpha, lam)
         labels += ["A0", "B0"]
-        points += [Point.of(r * cmath.exp(1j * alpha)), Point.of(r * cmath.exp(-1j * alpha))]
+        points += [r * cmath.exp(1j * alpha), r * cmath.exp(-1j * alpha)]
         segment = ("A0", "B0")
     meta = {"family": family, "alpha": alpha, "lambda": lam, "depth": K}
     return TerminalSet(tuple(labels), tuple(points), family=meta, segment=segment)
@@ -126,12 +126,12 @@ def x_offset(alpha: float, lam: float) -> float:
     return math.sin(alpha) / (lam + 1.0)
 
 
-def x_point(alpha: float, lam: float, side: str = UPPER) -> Point:
+def x_point(alpha: float, lam: float, side: str = UPPER) -> complex:
     """Entry point of the A0 network on the cross segment [A0 B0]."""
     if side not in (UPPER, LOWER):
         raise ParameterError(f"side must be 'upper' or 'lower', got {side!r}")
     sign = 1.0 if side == UPPER else -1.0
-    return Point(bisector_abscissa(alpha, lam), sign * x_offset(alpha, lam))
+    return complex(bisector_abscissa(alpha, lam), sign * x_offset(alpha, lam))
 
 
 def length_by_J(alpha: float, lam: float, J: Iterable[int], K: int) -> float:

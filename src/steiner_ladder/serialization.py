@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .errors import ParameterError
 from .trees import STEINER, TERMINAL, EmbeddedTree, TerminalSet
-from .geometry import Point
 
 INSTANCE_SCHEMA = "steiner-ladder/instance-v1"
 TREE_SCHEMA = "steiner-ladder/tree-v1"
@@ -101,7 +100,7 @@ def instance_from_json(text: str) -> TerminalSet:
 
     try:
         labels = tuple(t["label"] for t in terminals)
-        points = tuple(Point(_parse_float(t["x"]), _parse_float(t["y"])) for t in terminals)
+        points = tuple(complex(_parse_float(t["x"]), _parse_float(t["y"])) for t in terminals)
     except (KeyError, TypeError) as exc:
         raise InstanceFormatError(f"bad terminal entry: {exc}") from exc
     if not all(isinstance(lab, str) for lab in labels):

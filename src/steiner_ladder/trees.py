@@ -1,4 +1,9 @@
-"""Embedded trees and terminal sets shared by the solver and constructions."""
+"""Embedded trees and terminal sets shared by the solver and constructions.
+
+Terminals are plain ``complex`` values.  ``as_points`` is the one place that
+reads them: it turns a ``TerminalSet`` or any point sequence into a tuple of
+finite ``complex`` points, and ``TerminalSet`` stores what it returns.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import DegenerateInputError, ParameterError
-from .geometry import Point, reflect_across
+from .geometry import reflect_across
 
 TERMINAL = "terminal"
 STEINER = "steiner"
@@ -140,11 +145,12 @@ class TerminalSet:
     """Ordered labelled terminals, optionally tagged with a generating family."""
 
     labels: tuple[str, ...]
-    points: tuple[Point, ...]
+    points: tuple[complex, ...]
     family: dict | None = field(default=None, compare=False)
     segment: tuple[str, str] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "points", as_points(self.points))
         if len(self.labels) != len(self.points):
             raise ParameterError("labels/points length mismatch")
         if len(set(self.labels)) != len(self.labels):
@@ -156,7 +162,7 @@ class TerminalSet:
 
     @classmethod
     def of(cls, points: Sequence[complex], labels: Sequence[str] | None = None) -> "TerminalSet":
-        pts = tuple(Point.of(complex(p)) for p in points)
+        pts = tuple(points)
         if labels is None:
             labels = tuple(f"t{i}" for i in range(len(pts)))
         return cls(tuple(labels), pts)
@@ -167,7 +173,7 @@ class TerminalSet:
     def index(self, label: str) -> int:
         return self.labels.index(label)
 
-    def point(self, label: str) -> Point:
+    def point(self, label: str) -> complex:
         return self.points[self.index(label)]
 
     def select(self, labels: Sequence[str]) -> "TerminalSet":
@@ -176,9 +182,9 @@ class TerminalSet:
 
 
 def as_points(terminals) -> tuple[complex, ...]:
-    """Coerce a TerminalSet or a plain point sequence into complex points."""
+    """Coerce a TerminalSet or a plain point sequence into finite complex points."""
     if isinstance(terminals, TerminalSet):
-        return tuple(complex(p) for p in terminals.points)
+        return terminals.points  # checked when the set was made
     pts = tuple(complex(p) for p in terminals)
     for z in pts:
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):

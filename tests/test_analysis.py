@@ -16,7 +16,7 @@ from steiner_ladder.analysis import (
     wedge_intersection_is_segment,
     wind_rose,
 )
-from steiner_ladder.errors import ParameterError
+from steiner_ladder.errors import DegenerateInputError, ParameterError
 from steiner_ladder.ladder import LadderParams, build_ladder_tree_A0, build_ladder_tree_A1
 from steiner_ladder.trees import STEINER, TERMINAL, EmbeddedTree
 
@@ -124,6 +124,8 @@ def test_validate_flags_hull_escape():
     )
     report = validate_steiner_geometry(out, terminals=[0, 1])
     assert not report.inside_hull
+    with pytest.raises(DegenerateInputError):
+        validate_steiner_geometry(out, terminals=[0, complex("nan"), 1j])
 
 
 def test_local_min_gradient_tripod_and_perturbation():

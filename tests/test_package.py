@@ -1,5 +1,6 @@
 """The package's export list matches the names it binds, it needs only the stdlib,
-its modules share no private names, and they import each other without a cycle."""
+its modules share no private names and keep none unused, and they import each
+other without a cycle."""
 
 import ast
 import sys
@@ -74,3 +75,33 @@ def test_package_imports_form_no_cycle():
                 deps.update(a.name if a.name in modules else "__init__" for a in node.names)
     assert "ladder" not in graph["dynamics"]
     TopologicalSorter(graph).prepare()  # raises CycleError, naming the cycle
+
+
+def test_every_private_module_level_name_is_used():
+    # a module-level underscore function, class or constant that nothing reads
+    # is dead code; a private helper of a deleted public function shows up here
+    src = Path(steiner_ladder.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in src.glob("*.py")}
+    defined = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            defined.update(
+                (module, name) for name in names if name.startswith("_") and not name.startswith("__")
+            )
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert len(defined) > 50
+    assert sorted(f"{module}: {name}" for module, name in defined if name not in read) == []

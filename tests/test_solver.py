@@ -29,7 +29,7 @@ from steiner_ladder.solver import (
     steiner_ratio,
 )
 from steiner_ladder.topology import Topology, enumerate_full_topologies, iter_full_topologies
-from steiner_ladder.trees import TERMINAL
+from steiner_ladder.trees import STEINER, TERMINAL
 
 from oracles import brute_mst_length, fermat_oracle, minimax_distances, two_steiner_descent
 
@@ -152,10 +152,44 @@ def test_solve_square_two_reflected_optima():
     assert trees_mirror_equal(t1, t2, axis_point=0.5 + 0.5j, axis_angle=math.pi / 4, tol=1e-9)
 
 
-def test_solve_equilateral_is_fermat():
-    sol = solve_exact(EQUILATERAL)
-    assert sol.best.length == pytest.approx(SQRT3, abs=1e-12)
+def _branching_point(points):
+    """Best tree of a 3-terminal solve and its highest-degree vertex."""
+    sol = solve_exact(points)
     assert len(sol.co_optima) == 1
+    deg = sol.best.degrees()
+    return sol.best, sol.best.vertices[deg.index(max(deg))]
+
+
+@pytest.mark.parametrize(
+    "points, s, full",
+    [
+        (EQUILATERAL, 1.0, True),
+        ([0, 1, 0.5 + 10j], 1.0, True),
+        ([0, 1, cmath.exp(1j * math.radians(150))], 1.0, False),
+        ([0, 1, 0.5 + 1j], 1e-20, True),
+        ([0, 1, 0.5 + 1j], 1e20, True),
+    ],
+    ids=["equilateral", "sliver", "wide-150deg", "scaled-1e-20", "scaled-1e+20"],
+)
+def test_solve_equilateral_is_fermat(points, s, full):
+    tree, point = _branching_point(points)
+    oracle_pt, oracle_len = fermat_oracle(*points)
+    assert tree.length == pytest.approx(oracle_len, rel=1e-8)
+    assert abs(point - oracle_pt) <= 1e-7 * tree.diameter()
+    if points is EQUILATERAL:
+        assert tree.length == pytest.approx(SQRT3, abs=1e-12)
+        assert abs(point - sum(EQUILATERAL) / 3) < 1e-12
+    if full:  # one Steiner point, seeing each pair of terminals under 120 degrees
+        assert tree.roles.count(STEINER) == 1
+        assert local_min_gradient(tree) < 1e-12
+    else:  # the 150 degree angle at terminal 0: no Steiner point, terminal 0 branches
+        assert STEINER not in tree.roles
+        assert terminal_degrees(tree) == [2, 1, 1]
+    if s != 1.0:
+        # the oracle's grid steps are absolute, so the scaled solve is held to the unit one
+        scaled, scaled_pt = _branching_point([s * p for p in points])
+        assert scaled.length / s == pytest.approx(tree.length, rel=1e-12)
+        assert abs(scaled_pt / s - point) <= 1e-12 * tree.diameter()
 
 
 def test_solve_collinear_points_chain():
