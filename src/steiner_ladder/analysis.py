@@ -9,17 +9,12 @@ comparison.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError
-from .geometry import (
-    TWO_THIRDS_PI,
-    angle_at,
-    convex_hull,
-    point_in_hull,
-    point_segment_distance,
-)
+from .errors import DegenerateInputError, ParameterError
+from .geometry import TWO_THIRDS_PI, convex_hull, point_in_hull, point_segment_distance
 from .trees import TERMINAL, EmbeddedTree, as_points, reflect_tree, scale_tree
 
 FULL = "full"
@@ -57,19 +52,29 @@ class ValidityReport:
         )
 
 
-def _vertex_angles(tree: EmbeddedTree) -> list[list[float]]:
-    """Pairwise convex angles between edges at each vertex."""
-    adj = tree.adjacency()
+def _vertex_angles(tree: EmbeddedTree, adj: list[list[int]]) -> list[list[float]]:
+    """Pairwise convex angles between edges at each vertex, bit for bit those of ``angle_at``."""
     out: list[list[float]] = []
-    for i, nbrs in enumerate(adj):
-        angles = []
-        for a in range(len(nbrs)):
-            for b in range(a + 1, len(nbrs)):
-                angles.append(
-                    angle_at(tree.vertices[i], tree.vertices[nbrs[a]], tree.vertices[nbrs[b]])
-                )
-        out.append(angles)
+    for z, nbrs in zip(tree.vertices, adj):
+        rays = [tree.vertices[j] - z for j in nbrs] if len(nbrs) > 1 else []
+        if 0 in rays:
+            raise DegenerateInputError("angle_at: ray endpoint coincides with vertex")
+        units = [d / abs(d) for d in rays]
+        out.append([abs(cmath.phase(v / u)) for a, u in enumerate(units) for v in units[a + 1 :]])
     return out
+
+
+def _classify(tree: EmbeddedTree, adj: list[list[int]]) -> str:
+    if not (tree.is_connected() and tree.is_acyclic()):
+        return NEITHER
+    deg = [len(nbrs) for nbrs in adj]
+    if any(d > 3 for d in deg):
+        return NEITHER
+    for angles in _vertex_angles(tree, adj):
+        for ang in angles:
+            if abs(ang - TWO_THIRDS_PI) > ANGLE_TOL:
+                return NEITHER
+    return FULL if all(d != 2 for d in deg) else FULL_STAR
 
 
 def classify(tree: EmbeddedTree) -> str:
@@ -79,16 +84,7 @@ def classify(tree: EmbeddedTree) -> str:
     vertex equals 2*pi/3 (so degrees are at most 3).  full additionally has no
     degree-2 vertex.
     """
-    if not (tree.is_connected() and tree.is_acyclic()):
-        return NEITHER
-    deg = tree.degrees()
-    if any(d > 3 for d in deg):
-        return NEITHER
-    for angles in _vertex_angles(tree):
-        for ang in angles:
-            if abs(ang - TWO_THIRDS_PI) > ANGLE_TOL:
-                return NEITHER
-    return FULL if all(d != 2 for d in deg) else FULL_STAR
+    return _classify(tree, tree.adjacency())
 
 
 def wind_rose(tree: EmbeddedTree) -> WindRose:
@@ -121,10 +117,9 @@ def maxwell_length(tree: EmbeddedTree) -> tuple[float, float]:
     regular tripod.  Returns ``(real_part, |imaginary_residual|)``; the
     residual vanishes for exact full* trees.
     """
-    kind = classify(tree)
-    if kind == NEITHER:
-        raise ParameterError("maxwell_length requires a full or full* tree")
     adj = tree.adjacency()
+    if _classify(tree, adj) == NEITHER:
+        raise ParameterError("maxwell_length requires a full or full* tree")
     total = 0j
     for i, nbrs in enumerate(adj):
         if len(nbrs) >= 3:
@@ -161,12 +156,12 @@ def local_min_gradient(tree: EmbeddedTree) -> float:
 
 def validate_steiner_geometry(tree: EmbeddedTree, terminals=None) -> ValidityReport:
     """Aggregate geometric checks a claimed minimal tree must pass."""
-    deg = tree.degrees()
+    adj = tree.adjacency()
     hist: dict[int, int] = {}
-    for d in deg:
-        hist[d] = hist.get(d, 0) + 1
+    for nbrs in adj:
+        hist[len(nbrs)] = hist.get(len(nbrs), 0) + 1
     violation = 0.0
-    for angles in _vertex_angles(tree):
+    for angles in _vertex_angles(tree, adj):
         for ang in angles:
             violation = max(violation, TWO_THIRDS_PI - ang)
     violation = max(0.0, violation)

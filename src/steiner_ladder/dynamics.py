@@ -6,7 +6,9 @@ consecutive rhombi obey an affine two-branch recurrence; normalised to
 ``t -> t/lam + q_minus`` above, and its inverse is the two-interval
 piecewise contraction ``t -> frac(lam * t + t2)``.  Periodic points of the
 inverse map correspond to self-similar networks; trajectories that hit the
-branch boundary correspond to networks with a degree-two terminal.
+branch boundary correspond to networks with a degree-two terminal.  The
+contraction's periodic orbit attracts every orbit, so ``periodic_points``
+iterates to it and solves only its branch word.
 
 ``ladder`` builds its A0 network here, so this module imports nothing from
 ``ladder``; ``LadderParams`` appears only as an annotation.
@@ -197,20 +199,30 @@ def iterate(p: DynamicsParams, t0: float, n: int, direction: str = FORWARD) -> O
 def periodic_points(p: DynamicsParams, period: int) -> list[float]:
     """Fixed points of the ``period``-fold inverse map.
 
-    Each of the ``2**period`` branch words gives one affine equation; the
-    solutions surviving an explicit round-trip check are returned sorted.
+    The inverse map is a piecewise contraction whose periodic orbit attracts
+    every orbit (Bugeaud 1993; Nogueira, Pires & Rosales 2014).  After as many
+    steps as take lam**steps below the float epsilon, the next ``period`` steps
+    give the attractor's branch word.  Each cyclic rotation of that word gives
+    one affine equation; the solutions surviving an explicit round-trip check
+    are returned sorted: none when the attractor's period does not divide
+    ``period`` or its orbit meets the seam.
     """
     if not 1 <= period <= 12:
         raise ParameterError(f"period must lie in 1..12, got {period}")
     lam, t2 = p.lam, p.t2
+    t = (p.q_plus + 0.5) % 1.0  # half a turn from the seam
+    word: list[int] = []
+    for _ in range(math.ceil(math.log(sys.float_info.epsilon) / math.log(lam)) + period):
+        v = lam * t + t2  # the arithmetic of inverse_map, with its branch kept
+        word.append(math.floor(v))
+        t = v - word[-1]
+    word = word[-period:]
     found: list[float] = []
-    for word in range(1 << period):
+    for r in range(period):
         rhs = 0.0
-        for i in range(period):
-            m = word >> i & 1
+        for m in word[r:] + word[:r]:
             rhs = rhs * lam + (t2 - m)
-        denom = 1.0 - lam**period
-        t = rhs / denom
+        t = rhs / (1.0 - lam**period)
         if not 0.0 <= t < 1.0:
             continue
         cur = t

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateInputError, ParameterError
-from .geometry import reflect_across
+from .geometry import convex_hull, reflect_across
 
 TERMINAL = "terminal"
 STEINER = "steiner"
@@ -60,36 +60,27 @@ class EmbeddedTree:
         return [i for i, r in enumerate(self.roles) if r == TERMINAL]
 
     def diameter(self) -> float:
-        pts = self.vertices
-        if len(pts) < 2:
-            return 0.0
-        return max(abs(p - q) for i, p in enumerate(pts) for q in pts[i + 1 :])
+        """Largest vertex distance; the farthest pair are corners of the convex hull."""
+        hull = convex_hull(self.vertices)
+        return max((abs(p - q) for i, p in enumerate(hull) for q in hull[i + 1 :]), default=0.0)
 
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        adj = self.adjacency()
-        seen = {0}
-        stack = [0]
-        while stack:
-            for v in adj[stack.pop()]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == len(self.vertices)
-
-    def is_acyclic(self) -> bool:
-        """False when an edge joins two connected vertices, a self-loop or repeat included."""
+    def _joins(self) -> Iterator[bool]:
+        """For each edge in turn, whether it joins two components (union-find)."""
         root = list(range(len(self.vertices)))
         for u, v in self.edges:
             while root[u] != u:
                 root[u] = u = root[root[u]]
             while root[v] != v:
                 root[v] = v = root[root[v]]
-            if u == v:
-                return False
+            yield u != v
             root[u] = v
-        return True
+
+    def is_connected(self) -> bool:
+        return sum(self._joins()) >= len(self.vertices) - 1
+
+    def is_acyclic(self) -> bool:
+        """False when an edge joins two connected vertices, a self-loop or repeat included."""
+        return all(self._joins())
 
 
 def transform_tree(tree: EmbeddedTree, fn) -> EmbeddedTree:

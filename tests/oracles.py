@@ -1,7 +1,8 @@
 """Independent oracles.
 
 Everything here is deliberately dumb and slow: grid searches, coordinate
-descent, exhaustive filters, and a rhombus-by-rhombus construction of the A0
+descent, exhaustive filters, every branch word of the inverse map, every
+vertex pair of a tree, and a rhombus-by-rhombus construction of the A0
 network.  The oracles never import solver internals or the dynamics route's
 builders, so they stay independent of the code paths they check.
 """
@@ -11,7 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 
-from steiner_ladder.dynamics import require_condition
+from steiner_ladder.dynamics import DynamicsParams, inverse_map, require_condition
+from steiner_ladder.errors import ForbiddenPointError
 from steiner_ladder.geometry import SQRT3
 from steiner_ladder.ladder import UPPER, LadderParams, x_point
 from steiner_ladder.trees import STEINER, TERMINAL, EmbeddedTree
@@ -237,3 +239,42 @@ def direct_ladder_tree_A0(params: LadderParams, side: str = UPPER) -> EmbeddedTr
     end = add(lam**K * x_end, TERMINAL)
     edges.append((prev, end))
     return EmbeddedTree.build(verts, roles, edges)
+
+
+def enumerated_periodic_points(p: DynamicsParams, period: int) -> list[float]:
+    """Fixed points of the ``period``-fold inverse map, from all ``2**period`` branch words.
+
+    Each word gives one affine equation; the solutions surviving an explicit
+    round-trip check are returned sorted.  Where ``lam**(period - 1)`` nears
+    the 1e-12 tolerance, words that differ from an orbit's in an early bit
+    pass too: the lowest passing word wins the dedupe, and two points 1e-12
+    apart can both be kept for one orbit point.
+    """
+    lam, t2 = p.lam, p.t2
+    found: list[float] = []
+    for word in range(1 << period):
+        rhs = 0.0
+        for i in range(period):
+            m = word >> i & 1
+            rhs = rhs * lam + (t2 - m)
+        denom = 1.0 - lam**period
+        t = rhs / denom
+        if not 0.0 <= t < 1.0:
+            continue
+        cur = t
+        try:
+            for _ in range(period):
+                cur = inverse_map(p, cur)
+        except ForbiddenPointError:
+            continue
+        if abs(cur - t) <= 1e-12 and all(abs(t - u) > 1e-12 for u in found):
+            found.append(t)
+    return sorted(found)
+
+
+def pairwise_diameter(tree: EmbeddedTree) -> float:
+    """Largest distance over every pair of vertices."""
+    pts = tree.vertices
+    if len(pts) < 2:
+        return 0.0
+    return max(abs(p - q) for i, p in enumerate(pts) for q in pts[i + 1 :])

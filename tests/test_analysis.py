@@ -18,7 +18,10 @@ from steiner_ladder.analysis import (
 )
 from steiner_ladder.errors import DegenerateInputError, ParameterError
 from steiner_ladder.ladder import LadderParams, build_ladder_tree_A0, build_ladder_tree_A1
-from steiner_ladder.trees import STEINER, TERMINAL, EmbeddedTree
+from steiner_ladder.solver import solve_exact
+from steiner_ladder.trees import STEINER, TERMINAL, EmbeddedTree, scale_tree
+
+from oracles import pairwise_diameter
 
 SQRT3 = math.sqrt(3)
 ALPHA = math.pi / 36
@@ -102,6 +105,10 @@ def test_validate_reports_a_cycle_in_a_disconnected_graph():
     triangle = EmbeddedTree.build(pts, [TERMINAL] * 5, [(0, 1), (1, 2), (2, 0)])
     report = validate_steiner_geometry(triangle)  # a triangle and two isolated vertices
     assert not report.connected and not report.acyclic
+    alone = EmbeddedTree.build(pts[:3], [TERMINAL] * 3, triangle.edges)
+    report = validate_steiner_geometry(alone)
+    assert report.connected and not report.acyclic
+    assert EmbeddedTree.build([], [], []).is_connected()
     for edges in ([(0, 1), (1, 1)], [(0, 1), (1, 0)]):  # a self-loop, a repeated edge
         assert not EmbeddedTree.build(pts, [TERMINAL] * 5, edges).is_acyclic()
     assert EmbeddedTree.build(pts, [TERMINAL] * 5, [(0, 1), (2, 3)]).is_acyclic()
@@ -181,3 +188,29 @@ def test_wedge_clipping(a1_tree):
     tripod = regular_tripod()
     assert not wedge_intersection_is_segment(tripod, -0.1 - 0.05j, 0.0)
     assert clip_to_wedge(tripod, 10 + 10j, 0.0, math.pi / 12) == []
+
+
+def test_coincident_vertices_raise_in_every_angle_check():
+    # a vertex of degree two whose ray to a neighbour has length zero
+    tree = EmbeddedTree.build([0, 1, 1, 2j], [TERMINAL] * 4, [(0, 1), (1, 2), (2, 3)])
+    for check in (classify, maxwell_length, validate_steiner_geometry):
+        with pytest.raises(DegenerateInputError, match="coincides"):
+            check(tree)
+
+
+def test_diameter_matches_every_vertex_pair(a1_tree, a0_tree):
+    # the farthest pair are hull corners, so the hull's pairs give the same
+    # float; every case here is bit-equal, and 1e-15 relative is the bound
+    # no vertex, one, two, all coincident, collinear on an axis and on a slant
+    small = [[], [2 + 1j], [0, 3 + 4j], [1 + 1j] * 4, [0, 1, 3, 1.5, 2]]
+    small.append([0.1 * k + 0.3j * k for k in range(7)])
+    trees = [EmbeddedTree.build(pts, [TERMINAL] * len(pts), []) for pts in small]
+    trees += [a1_tree, a0_tree, build_ladder_tree_A1(LadderParams(math.pi / 10, 0.05, 9), "0110")]
+    trees += [build_ladder_tree_A0(LadderParams(math.pi / 20, 0.3, 200), "lower")]
+    for points in ([0, 1, 1 + 1j, 1j], [0, 2, 1 + 0.4j, 0.3 + 1j, 1.8 + 1.1j]):
+        trees.append(solve_exact(points).best)
+    for tree in trees:
+        for s in (1.0, 1e-150, 1e150):
+            scaled = scale_tree(tree, s)
+            got, want = scaled.diameter(), pairwise_diameter(scaled)
+            assert got == want or abs(got - want) <= 1e-15 * want, (len(tree.vertices), s)

@@ -27,7 +27,7 @@ from steiner_ladder.ladder import (
 )
 from steiner_ladder.trees import reflect_tree
 
-from oracles import direct_ladder_tree_A0
+from oracles import direct_ladder_tree_A0, enumerated_periodic_points
 
 ALPHA = math.pi / 36
 LAM = 0.5
@@ -198,6 +198,66 @@ def test_periodic_points_return_to_themselves(p_tilt):
             for _ in range(period):
                 cur = inverse_map(p_tilt, cur)
             assert cur == pytest.approx(t, abs=1e-12)
+
+
+def test_periodic_points_of_a_multiple_period_is_the_same_orbit():
+    # lam**10 is about 1e-12 here, so branch words that differ from the
+    # 2-cycle's in an early bit pass a 1e-12 round trip as well
+    p = derive_params(0.0555312258000673, 0.06341983416921698, 0.0014824603713215728)
+    cycle = periodic_points(p, 2)
+    assert len(cycle) == 2
+    for period in (2, 4, 6, 12):
+        pts = periodic_points(p, period)
+        assert len(pts) == len(cycle)
+        assert all(abs(t - c) <= 1e-14 for t, c in zip(pts, cycle))
+
+
+def _bound(alpha):
+    return (math.cos(math.pi / 3 + alpha) / math.cos(math.pi / 3 - alpha)) ** 2
+
+
+# beta a little either side of a change of the attractor's period, found by
+# bisection on the enumerated points (the lower side has the first period)
+_PERIOD_CHANGES = [
+    (ALPHA, LAM, 0.022376410205246566),  # 2 -> 5
+    (ALPHA, LAM, 0.028691370084731264),  # 8 -> 3
+    (ALPHA, LAM, 0.04807040769684462),  # 10 -> 4
+    (ALPHA, LAM, 0.06598716389214872),  # 7 -> 1
+    (0.05, 0.7, 0.015985258311902676),  # 2 -> none up to 12
+    (0.05, 0.7, 0.018728288449427085),  # 9 -> none up to 12
+    (0.05, 0.7, 0.029160736336514587),  # 5 -> 8
+    (0.2, 0.2, 0.03293592604972121),  # 3 -> 5
+    (0.3, 0.09, 0.016074843917868526),  # 2 -> 1
+    (0.1, 0.06, 0.004793135222593881),  # 2 -> 3
+    (0.1, 0.06, 0.005368425253082968),  # 3 -> 1
+]
+_ORACLE_GRID = (
+    [(a, lam, b) for a, lam in ((ALPHA, LAM), (math.pi / 20, 0.3), (math.pi / 10, 0.05))
+     for b in (0.0, a)]
+    + [(a, _bound(a) - 5e-4, b) for a in (0.01, 0.05, 0.3) for b in (0.0, a / 3, a)]
+    + [(a, lam, b + d) for a, lam, b in _PERIOD_CHANGES for d in (-1e-9, 1e-9)]
+)
+
+
+@pytest.mark.parametrize("alpha, lam, beta", _ORACLE_GRID)
+def test_periodic_points_match_every_branch_word(alpha, lam, beta):
+    p = derive_params(alpha, lam, beta)
+    for period in range(1, 13):
+        got, want = periodic_points(p, period), enumerated_periodic_points(p, period)
+        if lam >= 0.1:
+            assert got == want, period
+            continue
+        # below lam = 0.1 the enumeration can keep several points of one orbit
+        # point; merge them before comparing
+        clusters = []
+        for t in want:
+            if clusters and t - clusters[-1][-1] <= 1e-11:
+                clusters[-1].append(t)
+            else:
+                clusters.append([t])
+        assert len(got) == len(clusters), period
+        for t, near in zip(got, clusters):
+            assert min(abs(t - u) for u in near) <= 1e-12, period
 
 
 def test_tree_from_orbit_matches_direct_construction():
