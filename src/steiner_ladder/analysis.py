@@ -9,12 +9,13 @@ comparison.
 
 from __future__ import annotations
 
-import cmath
 import math
+from cmath import phase
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DegenerateInputError, ParameterError
-from .geometry import TWO_THIRDS_PI, convex_hull, point_in_hull, point_segment_distance
+from .geometry import TWO_THIRDS_PI, convex_hull, point_segment_distance, points_in_hull
 from .trees import TERMINAL, EmbeddedTree, as_points, reflect_tree, scale_tree
 
 FULL = "full"
@@ -53,28 +54,37 @@ class ValidityReport:
 
 
 def _vertex_angles(tree: EmbeddedTree, adj: list[list[int]]) -> list[list[float]]:
-    """Pairwise convex angles between edges at each vertex, bit for bit those of ``angle_at``."""
+    """Pairwise convex angles between edges at each non-leaf vertex, bit for bit ``angle_at``'s."""
+    verts = tree.vertices
     out: list[list[float]] = []
-    for z, nbrs in zip(tree.vertices, adj):
-        rays = [tree.vertices[j] - z for j in nbrs] if len(nbrs) > 1 else []
-        if 0 in rays:
-            raise DegenerateInputError("angle_at: ray endpoint coincides with vertex")
-        units = [d / abs(d) for d in rays]
-        out.append([abs(cmath.phase(v / u)) for a, u in enumerate(units) for v in units[a + 1 :]])
+    for z, nbrs in zip(verts, adj):
+        if len(nbrs) < 2:
+            continue
+        units = []
+        for j in nbrs:
+            d = verts[j] - z
+            if d == 0:
+                raise DegenerateInputError("angle_at: ray endpoint coincides with vertex")
+            units.append(d / abs(d))
+        if len(units) == 3:
+            u0, u1, u2 = units
+            out.append([abs(phase(u1 / u0)), abs(phase(u2 / u0)), abs(phase(u2 / u1))])
+        else:
+            out.append([abs(phase(v / u)) for a, u in enumerate(units) for v in units[a + 1 :]])
     return out
 
 
 def _classify(tree: EmbeddedTree, adj: list[list[int]]) -> str:
-    if not (tree.is_connected() and tree.is_acyclic()):
+    if not all(tree._connected_acyclic()):
         return NEITHER
-    deg = [len(nbrs) for nbrs in adj]
-    if any(d > 3 for d in deg):
+    deg = list(map(len, adj))
+    if deg and max(deg) > 3:
         return NEITHER
     for angles in _vertex_angles(tree, adj):
         for ang in angles:
             if abs(ang - TWO_THIRDS_PI) > ANGLE_TOL:
                 return NEITHER
-    return FULL if all(d != 2 for d in deg) else FULL_STAR
+    return FULL_STAR if 2 in deg else FULL
 
 
 def classify(tree: EmbeddedTree) -> str:
@@ -115,19 +125,22 @@ def maxwell_length(tree: EmbeddedTree) -> tuple[float, float]:
     Each degree-1 vertex contributes conj(outgoing unit direction) * vertex;
     a degree-2 vertex uses the direction completing its two edges to a
     regular tripod.  Returns ``(real_part, |imaginary_residual|)``; the
-    residual vanishes for exact full* trees.
+    residual vanishes for exact full* trees.  An edge of length zero raises
+    ``DegenerateInputError``, at a leaf too: there ``classify`` reads no angle
+    and still calls the tree full, and ``validate_steiner_geometry`` passes it.
     """
     adj = tree.adjacency()
     if _classify(tree, adj) == NEITHER:
         raise ParameterError("maxwell_length requires a full or full* tree")
     total = 0j
-    for i, nbrs in enumerate(adj):
-        if len(nbrs) >= 3:
+    for z, nbrs in zip(tree.vertices, adj):
+        if not 0 < len(nbrs) < 3:  # a lone vertex is a full tree of length 0
             continue
-        z = tree.vertices[i]
         units = []
         for j in nbrs:
             d = tree.vertices[j] - z
+            if d == 0:
+                raise DegenerateInputError("maxwell_length: neighbour coincides with vertex")
             units.append(d / abs(d))
         if len(units) == 1:
             c = -units[0]
@@ -149,6 +162,8 @@ def local_min_gradient(tree: EmbeddedTree) -> float:
         s = 0j
         for j in nbrs:
             d = tree.vertices[j] - z
+            if d == 0:
+                raise DegenerateInputError("local_min_gradient: neighbour coincides with vertex")
             s += d / abs(d)
         worst = max(worst, abs(s))
     return worst
@@ -157,24 +172,19 @@ def local_min_gradient(tree: EmbeddedTree) -> float:
 def validate_steiner_geometry(tree: EmbeddedTree, terminals=None) -> ValidityReport:
     """Aggregate geometric checks a claimed minimal tree must pass."""
     adj = tree.adjacency()
-    hist: dict[int, int] = {}
-    for nbrs in adj:
-        hist[len(nbrs)] = hist.get(len(nbrs), 0) + 1
+    hist = dict(Counter(map(len, adj)))
     violation = 0.0
     for angles in _vertex_angles(tree, adj):
-        for ang in angles:
-            violation = max(violation, TWO_THIRDS_PI - ang)
-    violation = max(0.0, violation)
+        violation = max(violation, *[TWO_THIRDS_PI - a for a in angles])
     if terminals is not None:
         hull_pts = as_points(terminals)
     else:
         hull_pts = [tree.vertices[i] for i in tree.terminal_indices()]
     hull = convex_hull(hull_pts)
     scale = tree.diameter() or 1.0
-    inside = all(point_in_hull(v, hull, tol=1e-9 * scale) for v in tree.vertices)
+    inside = points_in_hull(tree.vertices, hull, tol=1e-9 * scale)
     return ValidityReport(
-        connected=tree.is_connected(),
-        acyclic=tree.is_acyclic(),
+        *tree._connected_acyclic(),  # connected, acyclic
         max_angle_violation=violation,
         degree_histogram=hist,
         inside_hull=inside,
@@ -193,36 +203,40 @@ def block_decompose(tree: EmbeddedTree) -> list[EmbeddedTree]:
     Splitting terminals are duplicated into each incident component; the
     component lengths sum to the total length.
     """
-    deg = tree.degrees()
-    cut = {i for i in tree.terminal_indices() if deg[i] >= 2}
-    adj = tree.adjacency()
-    seen_edges: set[tuple[int, int]] = set()
+    edges = tree.edges
+    incident: list[list[int]] = [[] for _ in tree.vertices]  # edge ids at each vertex
+    for e, (u, v) in enumerate(edges):
+        incident[u].append(e)
+        incident[v].append(e)
+    cut = [r == TERMINAL and len(inc) >= 2 for r, inc in zip(tree.roles, incident)]
+    seen = bytearray(len(edges))
+    if len(set(edges)) < len(edges):  # a repeated edge is dropped: its later copies start seen
+        first: dict[tuple[int, int], int] = {}
+        for e, uv in enumerate(edges):
+            seen[e] = first.setdefault(uv, e) != e
     blocks: list[EmbeddedTree] = []
-    for u0, v0 in tree.edges:
-        if (u0, v0) in seen_edges:
+    for e0 in range(len(edges)):
+        if seen[e0]:
             continue
-        comp_edges: list[tuple[int, int]] = []
-        stack = [(u0, v0)]
-        seen_edges.add((u0, v0))
-        comp_edges.append((u0, v0))
+        seen[e0] = 1
+        comp = [e0]
+        stack = [e0]
         while stack:
-            u, v = stack.pop()
-            for w in (u, v):
-                if w in cut:
+            for w in edges[stack.pop()]:
+                if cut[w]:
                     continue
-                for x in adj[w]:
-                    e = (min(w, x), max(w, x))
-                    if e not in seen_edges:
-                        seen_edges.add(e)
-                        comp_edges.append(e)
+                for e in incident[w]:
+                    if not seen[e]:
+                        seen[e] = 1
+                        comp.append(e)
                         stack.append(e)
-        idxs = sorted({i for e in comp_edges for i in e})
+        idxs = sorted({i for e in comp for i in edges[e]})
         remap = {g: l for l, g in enumerate(idxs)}
         blocks.append(
             EmbeddedTree.build(
                 [tree.vertices[g] for g in idxs],
                 [tree.roles[g] for g in idxs],
-                [(remap[u], remap[v]) for u, v in comp_edges],
+                [(remap[edges[e][0]], remap[edges[e][1]]) for e in comp],
             )
         )
     return blocks

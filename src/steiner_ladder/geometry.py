@@ -77,16 +77,17 @@ def reflect_across(z: complex, axis_point: complex = 0j, axis_angle: float = 0.0
 
 def convex_hull(points: list[complex]) -> list[complex]:
     """Andrew monotone chain; returns hull vertices in ccw order."""
-    pts = sorted(set((z.real, z.imag) for z in map(complex, points)))
+    pts = sorted({(z.real, z.imag) for z in map(complex, points)})
     if len(pts) <= 2:
         return [complex(x, y) for x, y in pts]
 
     def half(seq):
         out: list[tuple[float, float]] = []
         for p in seq:
+            px, py = p
             while len(out) >= 2:
                 (ox, oy), (ax, ay) = out[-2], out[-1]
-                if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) <= 0:
+                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0:
                     out.pop()
                 else:
                     break
@@ -99,19 +100,21 @@ def convex_hull(points: list[complex]) -> list[complex]:
     return [complex(x, y) for x, y in hull]
 
 
-def point_in_hull(z: complex, hull: list[complex], tol: float = 1e-9) -> bool:
-    """True when ``z`` lies inside or on the (ccw) hull within ``tol``."""
+def points_in_hull(points: list[complex], hull: list[complex], tol: float = 1e-9) -> bool:
+    """True when every point lies inside or on the (ccw) hull within ``tol``."""
     if not hull:
-        return False
+        return not points
     if len(hull) == 1:
-        return abs(z - hull[0]) <= tol
+        return all([abs(z - hull[0]) <= tol for z in points])
     if len(hull) == 2:
-        return point_segment_distance(z, hull[0], hull[1]) <= tol
-    for i, p in enumerate(hull):
-        q = hull[(i + 1) % len(hull)]
+        return all([point_segment_distance(z, hull[0], hull[1]) <= tol for z in points])
+    xy = [(z.real, z.imag) for z in points]
+    for p, q in zip(hull, hull[1:] + hull[:1]):
         d = q - p
-        if d.real * (z - p).imag - d.imag * (z - p).real < -tol * abs(d):
-            return False
+        dx, dy, px, py, bound = d.real, d.imag, p.real, p.imag, -tol * abs(d)
+        for x, y in xy:
+            if dx * (y - py) - dy * (x - px) < bound:
+                return False
     return True
 
 

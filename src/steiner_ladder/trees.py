@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DegenerateInputError, ParameterError
 from .geometry import convex_hull, reflect_across
@@ -34,12 +34,12 @@ class EmbeddedTree:
         roles: Sequence[str],
         edges: Iterable[tuple[int, int]],
     ) -> "EmbeddedTree":
-        verts = tuple(complex(v) for v in vertices)
+        verts = tuple(map(complex, vertices))
         rls = tuple(roles)
         if len(verts) != len(rls):
             raise ParameterError("vertex/role length mismatch")
-        edge_t = tuple((min(u, v), max(u, v)) for u, v in edges)
-        length = math.fsum(abs(verts[u] - verts[v]) for u, v in edge_t)
+        edge_t = tuple([(v, u) if v < u else (u, v) for u, v in edges])
+        length = math.fsum([abs(verts[u] - verts[v]) for u, v in edge_t])
         return cls(verts, rls, edge_t, length)
 
     def adjacency(self) -> list[list[int]]:
@@ -64,23 +64,25 @@ class EmbeddedTree:
         hull = convex_hull(self.vertices)
         return max((abs(p - q) for i, p in enumerate(hull) for q in hull[i + 1 :]), default=0.0)
 
-    def _joins(self) -> Iterator[bool]:
-        """For each edge in turn, whether it joins two components (union-find)."""
+    def _connected_acyclic(self) -> tuple[bool, bool]:
+        """``(is_connected(), is_acyclic())`` from one union-find pass over the edges."""
         root = list(range(len(self.vertices)))
+        joins = 0
         for u, v in self.edges:
             while root[u] != u:
                 root[u] = u = root[root[u]]
             while root[v] != v:
                 root[v] = v = root[root[v]]
-            yield u != v
+            joins += u != v
             root[u] = v
+        return joins >= len(self.vertices) - 1, joins == len(self.edges)
 
     def is_connected(self) -> bool:
-        return sum(self._joins()) >= len(self.vertices) - 1
+        return self._connected_acyclic()[0]
 
     def is_acyclic(self) -> bool:
         """False when an edge joins two connected vertices, a self-loop or repeat included."""
-        return all(self._joins())
+        return self._connected_acyclic()[1]
 
 
 def transform_tree(tree: EmbeddedTree, fn) -> EmbeddedTree:

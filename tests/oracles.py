@@ -3,8 +3,9 @@
 Everything here is deliberately dumb and slow: grid searches, coordinate
 descent, exhaustive filters, every branch word of the inverse map, every
 vertex pair of a tree, and a rhombus-by-rhombus construction of the A0
-network.  The oracles never import solver internals or the dynamics route's
-builders, so they stay independent of the code paths they check.
+network, edge-tuple block splitting and a one-point-at-a-time hull test.
+The oracles never import solver internals or the dynamics route's builders,
+so they stay independent of the code paths they check.
 """
 
 from __future__ import annotations
@@ -13,8 +14,14 @@ import itertools
 import math
 
 from steiner_ladder.dynamics import DynamicsParams, inverse_map, require_condition
-from steiner_ladder.errors import ForbiddenPointError
-from steiner_ladder.geometry import SQRT3
+from steiner_ladder.errors import ForbiddenPointError, ParameterError
+from steiner_ladder.geometry import (
+    SQRT3,
+    TWO_THIRDS_PI,
+    angle_at,
+    convex_hull,
+    point_segment_distance,
+)
 from steiner_ladder.ladder import UPPER, LadderParams, x_point
 from steiner_ladder.trees import STEINER, TERMINAL, EmbeddedTree
 
@@ -278,3 +285,132 @@ def pairwise_diameter(tree: EmbeddedTree) -> float:
     if len(pts) < 2:
         return 0.0
     return max(abs(p - q) for i, p in enumerate(pts) for q in pts[i + 1 :])
+
+
+def tuple_block_decompose(tree: EmbeddedTree) -> list[EmbeddedTree]:
+    """Full components split at terminals of degree >= 2, walked by ``(min, max)`` edge tuples."""
+    deg = tree.degrees()
+    cut = {i for i in tree.terminal_indices() if deg[i] >= 2}
+    adj = tree.adjacency()
+    seen_edges: set[tuple[int, int]] = set()
+    blocks: list[EmbeddedTree] = []
+    for u0, v0 in tree.edges:
+        if (u0, v0) in seen_edges:
+            continue
+        comp_edges = [(u0, v0)]
+        stack = [(u0, v0)]
+        seen_edges.add((u0, v0))
+        while stack:
+            u, v = stack.pop()
+            for w in (u, v):
+                if w in cut:
+                    continue
+                for x in adj[w]:
+                    e = (min(w, x), max(w, x))
+                    if e not in seen_edges:
+                        seen_edges.add(e)
+                        comp_edges.append(e)
+                        stack.append(e)
+        idxs = sorted({i for e in comp_edges for i in e})
+        remap = {g: l for l, g in enumerate(idxs)}
+        blocks.append(
+            EmbeddedTree.build(
+                [tree.vertices[g] for g in idxs],
+                [tree.roles[g] for g in idxs],
+                [(remap[u], remap[v]) for u, v in comp_edges],
+            )
+        )
+    return blocks
+
+
+def point_in_hull(z: complex, hull: list[complex], tol: float) -> bool:
+    """One point against every edge of a ccw hull, within ``tol``."""
+    if not hull:
+        return False
+    if len(hull) == 1:
+        return abs(z - hull[0]) <= tol
+    if len(hull) == 2:
+        return point_segment_distance(z, hull[0], hull[1]) <= tol
+    for i, p in enumerate(hull):
+        q = hull[(i + 1) % len(hull)]
+        d = q - p
+        if d.real * (z - p).imag - d.imag * (z - p).real < -tol * abs(d):
+            return False
+    return True
+
+
+def connected_acyclic(tree: EmbeddedTree) -> tuple[bool, bool]:
+    """Breadth-first components: connected when one, acyclic when E = V - components."""
+    adj = tree.adjacency()
+    comp = [-1] * len(adj)
+    count = 0
+    for s in range(len(adj)):
+        if comp[s] < 0:
+            comp[s] = count
+            queue = [s]
+            for u in queue:
+                for w in adj[u]:
+                    if comp[w] < 0:
+                        comp[w] = count
+                        queue.append(w)
+            count += 1
+    return count <= 1, len(tree.edges) == len(adj) - count
+
+
+def angles_by_angle_at(tree: EmbeddedTree) -> list[list[float]]:
+    """``angle_at`` for each pair of edges at each vertex, pairs in neighbour order."""
+    out = []
+    for z, nbrs in zip(tree.vertices, tree.adjacency()):
+        pts = [tree.vertices[j] for j in nbrs]
+        out.append([angle_at(z, p, q) for a, p in enumerate(pts) for q in pts[a + 1 :]])
+    return out
+
+
+def classify_by_angle_at(tree: EmbeddedTree, angle_tol: float) -> str:
+    """full / full* / neither from ``angle_at``; every angle is read before any verdict."""
+    connected, acyclic = connected_acyclic(tree)
+    if not (connected and acyclic):
+        return "neither"
+    deg = tree.degrees()
+    if any(d > 3 for d in deg):
+        return "neither"
+    angles = angles_by_angle_at(tree)
+    if any(abs(a - TWO_THIRDS_PI) > angle_tol for at in angles for a in at):
+        return "neither"
+    return "full*" if 2 in deg else "full"
+
+
+def validity_fields(tree: EmbeddedTree, hull_pts: list[complex]) -> dict:
+    """The fields of ``ValidityReport`` from ``angle_at``, BFS and ``point_in_hull``."""
+    hist: dict[int, int] = {}
+    for d in tree.degrees():
+        hist[d] = hist.get(d, 0) + 1
+    violation = 0.0
+    for at in angles_by_angle_at(tree):
+        for a in at:
+            violation = max(violation, TWO_THIRDS_PI - a)
+    hull = convex_hull(hull_pts)
+    tol = 1e-9 * (tree.diameter() or 1.0)
+    connected, acyclic = connected_acyclic(tree)
+    return dict(
+        connected=connected,
+        acyclic=acyclic,
+        max_angle_violation=violation,
+        degree_histogram=hist,
+        inside_hull=all(point_in_hull(v, hull, tol) for v in tree.vertices),
+    )
+
+
+def maxwell_by_angle_at(tree: EmbeddedTree, angle_tol: float) -> tuple[float, float]:
+    """The Maxwell form of a tree ``classify_by_angle_at`` accepts, leaf by leaf."""
+    if classify_by_angle_at(tree, angle_tol) == "neither":
+        raise ParameterError("not a full* tree")
+    total = 0j
+    for z, nbrs in zip(tree.vertices, tree.adjacency()):
+        units = [(tree.vertices[j] - z) / abs(tree.vertices[j] - z) for j in nbrs]
+        if len(units) == 1:
+            total += (-units[0]).conjugate() * z
+        elif len(units) == 2:
+            s = units[0] + units[1]
+            total += (-s / abs(s)).conjugate() * z
+    return total.real, abs(total.imag)

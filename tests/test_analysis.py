@@ -4,6 +4,8 @@ import math
 import pytest
 
 from steiner_ladder.analysis import (
+    ANGLE_TOL,
+    ValidityReport,
     block_decompose,
     classify,
     clip_to_wedge,
@@ -17,11 +19,23 @@ from steiner_ladder.analysis import (
     wind_rose,
 )
 from steiner_ladder.errors import DegenerateInputError, ParameterError
-from steiner_ladder.ladder import LadderParams, build_ladder_tree_A0, build_ladder_tree_A1
+from steiner_ladder.ladder import (
+    LadderParams,
+    build_ladder_tree_A0,
+    build_ladder_tree_A1,
+    terminal_a,
+    terminal_b,
+)
 from steiner_ladder.solver import solve_exact
 from steiner_ladder.trees import STEINER, TERMINAL, EmbeddedTree, scale_tree
 
-from oracles import pairwise_diameter
+from oracles import (
+    classify_by_angle_at,
+    maxwell_by_angle_at,
+    pairwise_diameter,
+    tuple_block_decompose,
+    validity_fields,
+)
 
 SQRT3 = math.sqrt(3)
 ALPHA = math.pi / 36
@@ -196,6 +210,101 @@ def test_coincident_vertices_raise_in_every_angle_check():
     for check in (classify, maxwell_length, validate_steiner_geometry):
         with pytest.raises(DegenerateInputError, match="coincides"):
             check(tree)
+
+
+def test_zero_length_edges_raise_degenerate_input():
+    # a branching point on top of one of its neighbours
+    tree = EmbeddedTree.build(
+        [1, 0, 0, 1j], [TERMINAL, STEINER, TERMINAL, TERMINAL], [(0, 1), (1, 2), (1, 3)]
+    )
+    with pytest.raises(DegenerateInputError, match="coincides"):
+        local_min_gradient(tree)
+    # a segment whose ends coincide: no angle to read, so classify and
+    # validate keep their answers, but the Maxwell form has no direction
+    point = EmbeddedTree.build([0, 0], [TERMINAL] * 2, [(0, 1)])
+    assert classify(point) == "full"
+    assert validate_steiner_geometry(point).ok
+    with pytest.raises(DegenerateInputError, match="coincides"):
+        maxwell_length(point)
+
+
+def test_maxwell_length_of_a_lone_vertex_is_zero():
+    assert maxwell_length(EmbeddedTree.build([2 + 1j], [TERMINAL], [])) == (0.0, 0.0)
+
+
+def _check_corpus():
+    """Trees for the oracle comparison: ladders, solver optima and edge cases."""
+    trees = []
+    for alpha, lam in ((ALPHA, LAM), (math.pi / 20, 0.3)):
+        for depth in range(3, 42, 2):
+            m = (depth - 1) // 2
+            for word in ("0" * m, "1" * m, ("01" * m)[:m]):
+                trees.append(build_ladder_tree_A1(LadderParams(alpha, lam, depth), word))
+        for depth in (20, 200):
+            for side in ("upper", "lower"):
+                trees.append(build_ladder_tree_A0(LadderParams(alpha, lam, depth), side))
+    block = [terminal_a(ALPHA, LAM, k) for k in (1, 2, 3)]
+    block += [terminal_b(ALPHA, LAM, k) for k in (1, 2)]
+    for points in (
+        [0, 1, 1 + 1j, 1j],
+        [0, 2, 1 + 0.4j, 0.3 + 1j, 1.8 + 1.1j],
+        [1, cmath.exp(2j * math.pi / 3), cmath.exp(-2j * math.pi / 3), 0],
+        block,
+        [0, 1, 2, 3 + 0.2j, 1.5 + 1j, 0.5 - 0.8j],
+    ):
+        trees.append(solve_exact(points).best)
+    pts = [complex(k, k * k) for k in range(5)]
+    T, S = TERMINAL, STEINER
+    star = [(0, 3), (1, 3), (2, 3)]
+    trees += [
+        EmbeddedTree.build([], [], []),
+        EmbeddedTree.build([2 + 1j], [T], []),
+        EmbeddedTree.build(pts[:3], [T] * 3, [(0, 1), (1, 2), (1, 0)]),  # a repeated edge
+        EmbeddedTree.build(pts[:3], [T] * 3, [(0, 1), (1, 1), (1, 2)]),  # a self-loop
+        EmbeddedTree.build(pts, [T] * 5, [(0, 1), (2, 3), (3, 4)]),  # disconnected
+        EmbeddedTree.build([0, 1, 0.5 + 5j], [T, T, S], [(0, 2), (2, 1)]),  # outside a segment
+        EmbeddedTree.build([0, 2, 1j, 3 + 3j], [T, T, T, S], star),
+        EmbeddedTree.build([0, 1, 3, 2], [T] * 4, [(0, 1), (1, 3), (3, 2)]),  # collinear
+        # a Steiner point exactly the hull test's tolerance outside the edge [0, 4]
+        EmbeddedTree.build([0, 4, 4j, 1 - 1e-9j * abs(4 - 4j)], [T, T, T, S], star),
+        EmbeddedTree.build([0, 1j, 1 + 1j], [S] * 3, [(0, 1), (1, 2)]),  # no terminal
+        regular_tripod(),
+        # a terminal of degree 4 and a full* path through a degree-2 terminal
+        EmbeddedTree.build([0, 1, 1j, -1, -1j], [T] * 5, [(0, 1), (0, 2), (0, 3), (0, 4)]),
+        EmbeddedTree.build([0, 1, 1 + cmath.exp(1j * math.pi / 3)], [T] * 3, [(0, 1), (1, 2)]),
+    ]
+    return trees
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except (DegenerateInputError, ParameterError) as exc:
+        return type(exc)
+
+
+def test_checks_match_their_oracles():
+    # the linear passes of block_decompose, classify, maxwell_length and
+    # validate_steiner_geometry give exactly the answers of the edge-tuple walk,
+    # angle_at and the one-point-at-a-time hull test, on every tree and block
+    checked = 0
+    for tree in _check_corpus():
+        blocks = block_decompose(tree)
+        assert blocks == tuple_block_decompose(tree)
+        for t in [tree] + blocks:
+            assert classify(t) == classify_by_angle_at(t, ANGLE_TOL)
+            assert _outcome(maxwell_length, t) == _outcome(maxwell_by_angle_at, t, ANGLE_TOL)
+            terminals = [t.vertices[i] for i in t.terminal_indices()]
+            want = _outcome(lambda: ValidityReport(**validity_fields(t, terminals)))
+            assert _outcome(validate_steiner_geometry, t) == want
+            checked += 1
+    assert checked > 1400
+    # terminals given apart from the tree: a hull of four corners, one vertex outside it
+    roles = [TERMINAL] * 3 + [STEINER]
+    out = EmbeddedTree.build([0, 2, 1j, 3 + 3j], roles, [(0, 3), (1, 3), (2, 3)])
+    report = validate_steiner_geometry(out, terminals=[0, 2, 1j, 1 + 1j])
+    assert not report.inside_hull
+    assert report == ValidityReport(**validity_fields(out, [0j, 2 + 0j, 1j, 1 + 1j]))
 
 
 def test_diameter_matches_every_vertex_pair(a1_tree, a0_tree):
