@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateInputError, ParameterError
 from .geometry import TWO_THIRDS_PI, convex_hull, point_segment_distance, points_in_hull
-from .trees import TERMINAL, EmbeddedTree, as_points, reflect_tree, scale_tree
+from .trees import TERMINAL, EmbeddedTree, as_points, reflect_tree, same_tree, scale_tree
 
 FULL = "full"
 FULL_STAR = "full*"
@@ -24,8 +24,7 @@ NEITHER = "neither"
 
 ANGLE_TOL = 1e-9
 WIND_ROSE_TOL = 1e-6
-SAMPLES_PER_EDGE = 9  # segments each edge is cut into by the sampled Hausdorff gaps
-WEDGE_TOL = 1e-9  # pieces shorter than this, or this far off line, do not split a wedge cut
+WEDGE_TOL = 1e-9  # diameters: pieces this short, or this far off line, do not split a wedge cut
 
 
 @dataclass(frozen=True)
@@ -242,26 +241,10 @@ def block_decompose(tree: EmbeddedTree) -> list[EmbeddedTree]:
     return blocks
 
 
-def _sample_segments(tree: EmbeddedTree) -> list[complex]:
-    pts: list[complex] = []
-    for u, v in tree.edges:
-        a, b = tree.vertices[u], tree.vertices[v]
-        for k in range(SAMPLES_PER_EDGE + 1):
-            pts.append(a + (b - a) * (k / SAMPLES_PER_EDGE))
-    return pts
-
-
 def distance_to_tree(z: complex, tree: EmbeddedTree) -> float:
     return min(
         point_segment_distance(z, tree.vertices[u], tree.vertices[v]) for u, v in tree.edges
     )
-
-
-def hausdorff_gap(t1: EmbeddedTree, t2: EmbeddedTree) -> float:
-    """Symmetric sampled Hausdorff distance between two trees."""
-    d1 = max(distance_to_tree(z, t2) for z in _sample_segments(t1))
-    d2 = max(distance_to_tree(z, t1) for z in _sample_segments(t2))
-    return max(d1, d2)
 
 
 def self_similarity_defect(
@@ -270,16 +253,16 @@ def self_similarity_defect(
     center: complex = 0j,
     min_radius: float = 0.0,
 ) -> float:
-    """One-sided Hausdorff gap from the scaled tree to the original.
+    """Largest distance from a vertex of the scaled tree to the tree's segments.
 
-    Sample points of the scaled tree closer than ``min_radius`` to the centre
-    are ignored, which masks the truncation tail of finite-depth networks.
+    The tree is scaled by ``ratio`` about ``center``.  Vertices of the scaled
+    tree closer than ``min_radius`` to the centre are ignored, which masks
+    the truncation tail of finite-depth networks.  Only vertices are tested:
+    a scaled edge whose two ends lie on the tree counts as lying on it.
     """
-    samples = _sample_segments(scale_tree(tree, ratio, center))
-    return max(
-        (distance_to_tree(z, tree) for z in samples if abs(z - center) >= min_radius),
-        default=0.0,
-    )
+    scaled = scale_tree(tree, ratio, center).vertices
+    gaps = [distance_to_tree(z, tree) for z in scaled if abs(z - center) >= min_radius]
+    return max(gaps, default=0.0)
 
 
 def trees_mirror_equal(
@@ -289,8 +272,8 @@ def trees_mirror_equal(
     axis_angle: float = 0.0,
     tol: float = 1e-8,
 ) -> bool:
-    """True when t1 reflected across the axis coincides with t2 within ``tol``."""
-    return hausdorff_gap(reflect_tree(t1, axis_point, axis_angle), t2) <= tol
+    """True when t1 reflected across the axis is t2 (``same_tree``, ``tol`` in diameters)."""
+    return same_tree(reflect_tree(t1, axis_point, axis_angle), t2, tol)
 
 
 def clip_to_wedge(
@@ -331,12 +314,12 @@ def clip_to_wedge(
 def wedge_intersection_is_segment(tree: EmbeddedTree, apex: complex, bisector_angle: float) -> bool:
     """True when the tree meets the 120-degree wedge in a single segment or not at all."""
     pieces = clip_to_wedge(tree, apex, bisector_angle, math.pi / 3)
-    pieces = [(a, b) for a, b in pieces if abs(b - a) > WEDGE_TOL]
+    slack = WEDGE_TOL * (tree.diameter() or 1.0)
+    pieces = [(a, b) for a, b in pieces if abs(b - a) > slack]
     if len(pieces) <= 1:
         return True
     origin, end = pieces[0]
     turn = (end - origin).conjugate() / abs(end - origin)  # first piece onto the real axis
-    slack = WEDGE_TOL * (1.0 + max(abs(b - a) for a, b in pieces))
     # each piece in coordinates along (real) and across (imag) the first one;
     # they must all be collinear and their intervals along it contiguous
     spans = []

@@ -128,11 +128,7 @@ def _cmd_construct(args) -> int:
         tree = ladder.build_ladder_tree_A1(params, word)
         closed = ladder.closed_form_length_A1(args.alpha, args.lam)
     dt = time.perf_counter() - t0
-    ser.atomic_write(args.out, ser.tree_to_json(tree))
-    if args.render:
-        inst = ladder.build_input(params, args.family)
-        ser.atomic_write(args.render, ser.svg_render(tree, instance=inst))
-    kind = classify(tree)
+    kind = classify(tree)  # the checks run first, so a build they reject writes no file
     extra = {
         "classification": kind,
         "closed_form": ser.fmt(closed),
@@ -148,6 +144,10 @@ def _cmd_construct(args) -> int:
             sorted(ser.fmt(abs(v)) for v, r in zip(b.vertices, b.roles) if r == "terminal")
             for b in blocks
         ]
+    ser.atomic_write(args.out, ser.tree_to_json(tree))
+    if args.render:
+        inst = ladder.build_input(params, args.family)
+        ser.atomic_write(args.render, ser.svg_render(tree, instance=inst))
     rec = ser.ResultRecord(
         f"{args.family}(alpha={args.alpha}, lambda={args.lam}, depth={args.depth})",
         "closed_form",

@@ -64,7 +64,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .errors import DegenerateInputError, ParameterError
 from .geometry import ROT_LEFT, ROT_RIGHT, SQRT3
 from .topology import MAX_TERMINALS, Topology
-from .trees import STEINER, TERMINAL, EmbeddedTree, as_points
+from .trees import STEINER, TERMINAL, EmbeddedTree, as_points, same_tree
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class SteinerSolution:
 # is also the angle, in radians, by which the cone cuts of ``_merges`` err towards keeping.
 _EPS = 1e-12  # coincident points, zero edges, proper crossings, rounding
 _SLACK = 1e-10  # margin kept over ``tol``; agreement of merge and edge lengths; key grid
-_SAME = 1e-6  # vertex distance under which two optima are the same tree
+_SAME = 1e-6  # ``same_tree`` tolerance under which two optima are one tree
 
 
 def _normalise(points: tuple[complex, ...]) -> tuple[tuple[complex, ...], Callable]:
@@ -617,7 +617,9 @@ def solve_exact(terminals, tol: float = 1e-9) -> SteinerSolution:
     Every candidate is a union of full components glued at shared terminals;
     full components are exhausted per terminal subset via the merge scheme.
     ``co_optima`` lists all geometrically distinct optima within ``tol`` of
-    the best length, canonically ordered; ``best`` is the shortest of them.
+    the best length, canonically ordered; two optima are distinct when their
+    vertices or edges differ at 1e-6 of the span (``trees.same_tree``).
+    ``best`` is the shortest of them.
     ``tol`` is in units of the terminal span (the largest distance between
     two terminals), so similar inputs give similar answers; it must be
     zero or more, and ``inf`` keeps every structure.
@@ -898,41 +900,23 @@ def _proper_cross(a: complex, b: complex, c: complex, d: complex, eps: float) ->
     )
 
 
-def _collapsed_vertices(tree: EmbeddedTree, tol: float) -> list[complex]:
-    out: list[complex] = []
-    for v in tree.vertices:
-        if all(abs(v - w) > tol for w in out):
-            out.append(v)
-    return out
-
-
-def trees_geometrically_equal(t1: EmbeddedTree, t2: EmbeddedTree, tol: float) -> bool:
-    """Vertex sets match under greedy nearest pairing within ``tol``."""
-    a = _collapsed_vertices(t1, tol * 1e-3)
-    b = _collapsed_vertices(t2, tol * 1e-3)
-    if len(a) != len(b):
-        return False
-    unused = list(b)
-    for v in a:
-        best_i = min(range(len(unused)), key=lambda i: abs(unused[i] - v), default=None)
-        if best_i is None or abs(unused[best_i] - v) > tol:
-            return False
-        unused.pop(best_i)
-    return True
-
-
 def _dedupe(trees: list[EmbeddedTree], tol: float) -> list[EmbeddedTree]:
     out: list[EmbeddedTree] = []
     for t in trees:
-        if not any(trees_geometrically_equal(t, u, tol) for u in out):
+        if not any(same_tree(t, u, tol) for u in out):
             out.append(t)
     return out
 
 
 def _canonical_key(tree: EmbeddedTree):
-    """Order of co-optima; ``tree`` is in the unit frame."""
-    pts = sorted((round(v.real / _SLACK), round(v.imag / _SLACK)) for v in tree.vertices)
-    return (round(tree.length / _SLACK), len(tree.vertices), tuple(pts))
+    """Order of co-optima; ``tree`` is in the unit frame.
+
+    The edges, as sorted pairs of rounded endpoints, break ties between
+    optima on one vertex set, so the order does not follow the labels.
+    """
+    pts = [(round(v.real / _SLACK), round(v.imag / _SLACK)) for v in tree.vertices]
+    edges = sorted(tuple(sorted((pts[u], pts[v]))) for u, v in tree.edges)
+    return (round(tree.length / _SLACK), len(pts), tuple(sorted(pts)), tuple(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,37 @@ class EmbeddedTree:
         return self._connected_acyclic()[1]
 
 
+def same_tree(t1: EmbeddedTree, t2: EmbeddedTree, tol: float) -> bool:
+    """True when ``t1`` and ``t2`` are one embedded graph, within ``tol`` of their span.
+
+    Vertices pair one to one, each with the nearest unpaired vertex within
+    ``tol`` times the larger diameter (the vertices of a tree are taken to be
+    twice that apart), and the pairing must carry edges onto edges; roles are
+    not compared.  This is equality of embedded graphs, not of point sets: a
+    straight degree-2 vertex makes two trees differ that cover the same points.
+    """
+    if len(t1.vertices) != len(t2.vertices) or len(t1.edges) != len(t2.edges):
+        return False
+    n, w = len(t1.vertices), t2.vertices
+    eps = tol * max(t1.diameter(), t2.diameter())
+    width = eps or 1.0  # any width >= eps puts every partner in the 3 x 3 block of cells
+    cells = [(math.floor(z.real / width), math.floor(z.imag / width)) for z in t1.vertices + w]
+    grid: dict[tuple[int, int], list[int]] = {}
+    for j, key in enumerate(cells[n:]):
+        grid.setdefault(key, []).append(j)
+    free = [True] * n
+    match = []
+    for z, (x, y) in zip(t1.vertices, cells):
+        block = [grid.get((a, b), ()) for a in (x - 1, x, x + 1) for b in (y - 1, y, y + 1)]
+        d, j = min([(abs(w[j] - z), j) for js in block for j in js if free[j]], default=(0, None))
+        if j is None or d > eps:
+            return False
+        free[j] = False
+        match.append(j)
+    mapped = sorted(tuple(sorted((match[u], match[v]))) for u, v in t1.edges)
+    return mapped == sorted(tuple(sorted(e)) for e in t2.edges)
+
+
 def transform_tree(tree: EmbeddedTree, fn) -> EmbeddedTree:
     """Apply a pointwise map to every vertex, recomputing the length."""
     return EmbeddedTree.build([fn(v) for v in tree.vertices], tree.roles, tree.edges)

@@ -414,3 +414,28 @@ def maxwell_by_angle_at(tree: EmbeddedTree, angle_tol: float) -> tuple[float, fl
             s = units[0] + units[1]
             total += (-s / abs(s)).conjugate() * z
     return total.real, abs(total.imag)
+
+
+SAMPLES_PER_EDGE = 9  # segments each edge is cut into by the sampled Hausdorff gap
+
+
+def _sample_segments(tree: EmbeddedTree) -> list[complex]:
+    pts: list[complex] = []
+    for u, v in tree.edges:
+        a, b = tree.vertices[u], tree.vertices[v]
+        for k in range(SAMPLES_PER_EDGE + 1):
+            pts.append(a + (b - a) * (k / SAMPLES_PER_EDGE))
+    return pts
+
+
+def _distance_to_segments(z: complex, tree: EmbeddedTree) -> float:
+    return min(
+        point_segment_distance(z, tree.vertices[u], tree.vertices[v]) for u, v in tree.edges
+    )
+
+
+def hausdorff_gap(t1: EmbeddedTree, t2: EmbeddedTree) -> float:
+    """Symmetric sampled Hausdorff distance between two trees, as point sets."""
+    d1 = max(_distance_to_segments(z, t2) for z in _sample_segments(t1))
+    d2 = max(_distance_to_segments(z, t1) for z in _sample_segments(t2))
+    return max(d1, d2)

@@ -41,13 +41,9 @@ from steiner_ladder.ladder import (
     segment_radius,
     x_offset,
 )
-from steiner_ladder.solver import (
-    realize_full_topology,
-    solve_exact,
-    trees_geometrically_equal,
-)
+from steiner_ladder.solver import realize_full_topology, solve_exact
 from steiner_ladder.topology import count_full_topologies, enumerate_full_topologies
-from steiner_ladder.trees import TERMINAL
+from steiner_ladder.trees import TERMINAL, same_tree
 
 ALPHA = math.pi / 36
 LAM = 0.5
@@ -170,7 +166,7 @@ def test_criterion_4_nine_terminal_multiplicity():
     # one-to-one: every co-optimum equals exactly one expected tree and
     # every expected tree equals exactly one co-optimum
     matches = [
-        [w for w, t in expected.items() if trees_geometrically_equal(opt, t, 1e-9)]
+        [w for w, t in expected.items() if same_tree(opt, t, 1e-9)]
         for opt in sol.co_optima
     ]
     matched = [m[0] for m in matches if len(m) == 1]

@@ -9,7 +9,6 @@ from steiner_ladder.analysis import (
     block_decompose,
     classify,
     clip_to_wedge,
-    hausdorff_gap,
     is_decomposable,
     local_min_gradient,
     maxwell_length,
@@ -27,10 +26,18 @@ from steiner_ladder.ladder import (
     terminal_b,
 )
 from steiner_ladder.solver import solve_exact
-from steiner_ladder.trees import STEINER, TERMINAL, EmbeddedTree, scale_tree
+from steiner_ladder.trees import (
+    STEINER,
+    TERMINAL,
+    EmbeddedTree,
+    same_tree,
+    scale_tree,
+    transform_tree,
+)
 
 from oracles import (
     classify_by_angle_at,
+    hausdorff_gap,
     maxwell_by_angle_at,
     pairwise_diameter,
     tuple_block_decompose,
@@ -192,6 +199,70 @@ def test_mirror_words_differ():
     t2 = build_ladder_tree_A1(params, "0010")
     assert not trees_mirror_equal(t1, t2, tol=1e-6)
     assert hausdorff_gap(t1, t2) > 1e-4
+
+
+def test_same_tree_is_equality_of_embedded_graphs():
+    # a straight degree-2 vertex: the same point set, not the same tree
+    seg = segment_tree()
+    split = EmbeddedTree.build(
+        [0, 1.5 + 2j, 3 + 4j], [TERMINAL, STEINER, TERMINAL], [(0, 1), (1, 2)]
+    )
+    assert hausdorff_gap(seg, split) < 1e-15
+    assert not same_tree(seg, split, 1e-9)
+    # the order of the vertices does not matter, the edges do
+    tripod = regular_tripod()
+    reversed_tripod = EmbeddedTree.build(
+        tripod.vertices[::-1], tripod.roles[::-1], [(3, 0), (3, 1), (3, 2)]
+    )
+    assert same_tree(tripod, reversed_tripod, 0.0)
+    path = EmbeddedTree.build(tripod.vertices, tripod.roles, [(0, 1), (0, 2), (2, 3)])
+    assert not same_tree(tripod, path, 1e-9)
+
+
+@pytest.fixture(scope="module")
+def similarity_corpus():
+    """Verdict cases: (kind, tree, other tree or None, axis point or apex, angle, verdict)."""
+    a1 = LadderParams(ALPHA, LAM, 9)
+    w0000, w1111, w1000 = (build_ladder_tree_A1(a1, w) for w in ("0000", "1111", "1000"))
+    a0 = LadderParams(ALPHA, LAM, 12)
+    upper, lower = (build_ladder_tree_A0(a0, side) for side in ("upper", "lower"))
+    sq1, sq2 = solve_exact([0, 1, 1 + 1j, 1j]).co_optima
+    last = upper.vertices[-1]
+    moved = transform_tree(upper, lambda z: z + 1e-6 * upper.diameter() if z == last else z)
+    dropped = EmbeddedTree.build(upper.vertices, upper.roles, upper.edges[:-1])
+    for mutant in (moved, dropped):  # the oracle rejects both mutants too
+        assert hausdorff_gap(upper, mutant) > 1e-8 * upper.diameter()
+    # two parallel legs joined by a bend below the origin: the upward wedge meets both
+    u_path = EmbeddedTree.build(
+        [-0.1 + 1j, -0.1 - 1j, 0.1 - 1j, 0.1 + 1j], [TERMINAL, STEINER, STEINER, TERMINAL],
+        [(0, 1), (1, 2), (2, 3)],
+    )
+    return [
+        ("mirror", w0000, w1111, 0j, 0.0, True),
+        ("mirror", w0000, w1000, 0j, 0.0, False),
+        ("mirror", upper, lower, 0j, 0.0, True),
+        ("mirror", sq1, sq2, 0.5 + 0.5j, math.pi / 4, True),
+        ("mirror", moved, lower, 0j, 0.0, False),
+        ("mirror", dropped, lower, 0j, 0.0, False),
+        ("wedge", u_path, None, 0j, math.pi / 2, False),
+        ("wedge", build_ladder_tree_A1(LadderParams(ALPHA, LAM, 5), "00"), None,
+         complex(0.75 * math.cos(ALPHA), 0.8 * math.sin(ALPHA)), math.pi / 2, True),
+    ]
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+@pytest.mark.parametrize("turn", [0.0, 0.4, 2.0, -2.6])
+def test_verdicts_do_not_change_under_similarity(similarity_corpus, scale, turn):
+    rot = scale * cmath.exp(1j * turn)
+    verdicts = []
+    for kind, t1, t2, point, angle, _want in similarity_corpus:
+        t1 = transform_tree(t1, lambda z: rot * z)
+        if kind == "mirror":
+            t2 = transform_tree(t2, lambda z: rot * z)
+            verdicts.append(trees_mirror_equal(t1, t2, rot * point, angle + turn))
+        else:
+            verdicts.append(wedge_intersection_is_segment(t1, rot * point, angle + turn))
+    assert verdicts == [case[-1] for case in similarity_corpus]
 
 
 def test_wedge_clipping(a1_tree):

@@ -7,6 +7,7 @@ import pytest
 
 from steiner_ladder import cli
 from steiner_ladder.cli import main
+from steiner_ladder.errors import DegenerateInputError
 from steiner_ladder.ladder import LadderParams, build_ladder_tree_A0, build_ladder_tree_A1
 from steiner_ladder.serialization import (
     InstanceFormatError,
@@ -183,6 +184,17 @@ def test_construct_inadmissible_exits_4(tmp_path, capsys):
         "--depth", "5", "--out", str(tmp_path / "t.json"),
     )
     assert code == 4
+
+
+def test_construct_checks_before_it_writes(tmp_path):
+    # the depth-2000 A0 tree fails the angle checks: no file is left behind
+    out, fig = tmp_path / "a0.json", tmp_path / "a0.svg"
+    with pytest.raises(DegenerateInputError):
+        main([
+            "construct", "--family", "A0", "--alpha", repr(math.pi / 36), "--lambda", "0.5",
+            "--depth", "2000", "--out", str(out), "--render", str(fig),
+        ])
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -213,12 +213,55 @@ def test_solve_rejects_bad_sizes_and_duplicates():
         minimal_full_tree([complex(k, k % 3) for k in range(10)])
 
 
+def _polygon(n):
+    return [cmath.exp(2j * math.pi * k / n) for k in range(n)]
+
+
+def _edge_sets(sol):
+    """Each co-optimum as its set of edges, the ends rounded, in the solution's order."""
+    return [
+        {frozenset(complex(round(t.vertices[i].real, 9), round(t.vertices[i].imag, 9)) for i in e)
+         for e in t.edges}
+        for t in sol.co_optima
+    ]
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_regular_polygon_optima_leave_out_one_side(n):
+    # Du, Hwang & Weng (1987): for n >= 6 a Steiner minimal tree of the regular
+    # n-gon is its perimeter minus one side, so there are n of them on one vertex set
+    pts = _polygon(n)
+    side = abs(pts[1] - pts[0])
+    sol = solve_exact(pts)
+    assert len(sol.co_optima) == n
+    for tree in sol.co_optima:
+        assert tree.roles == (TERMINAL,) * n and len(tree.edges) == n - 1
+        assert max(tree.degrees()) == 2
+        assert [abs(tree.vertices[u] - tree.vertices[v]) for u, v in tree.edges] == pytest.approx(
+            [side] * (n - 1)
+        )
+    assert len({frozenset(e) for e in _edge_sets(sol)}) == n
+
+
+def test_tied_co_optima_keep_their_order_under_relabelling(rng):
+    pts = _polygon(6)
+    want = _edge_sets(solve_exact(pts))
+    for _ in range(5):
+        order = list(range(6))
+        rng.shuffle(order)
+        assert _edge_sets(solve_exact([pts[i] for i in order])) == want
+
+
 def test_solve_validates_tol():
     for tol in (-1e-12, -math.inf, math.nan):
         with pytest.raises(ParameterError, match="tol"):
             solve_exact(SQUARE, tol=tol)
-    # an infinite tolerance keeps every structure that embeds without crossings
-    assert len(solve_exact(SQUARE, tol=math.inf).co_optima) == 7
+    # an infinite tolerance keeps every structure that embeds without crossings:
+    # - 12 non-crossing spanning trees of the corners: 4 of three sides (length 3)
+    #   and 8 with one diagonal (2 + sqrt 2);
+    # - 12 trees with one Fermat point: 8 at 2.93185 and 4 at 3.34607;
+    # - the 2 full trees (1 + sqrt 3)
+    assert len(solve_exact(SQUARE, tol=math.inf).co_optima) == 26
     assert len(solve_exact(SQUARE, tol=0.0).co_optima) == 2
 
 
